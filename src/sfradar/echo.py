@@ -7,6 +7,7 @@ sample instants are referenced to the start of the range gate, so the
 bulk gate delay never enters the numerics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,10 @@ class NoiseModel:
 
     snr_db: float
     seed: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
 
     def sigma_for(self, signal_power: float) -> float:
         return float(np.sqrt(signal_power * 10.0 ** (-self.snr_db / 10.0)))

@@ -26,7 +26,7 @@ from .echo import (
 from .io import load_profile_csv
 from .metrics import similarity
 from .model import ConfigError, PulseShape, RadarConfig
-from .sensing import build_sensing_system
+from .sensing import adjoint, build_sensing_system
 from .solvers import (
     SolverOptions,
     solve_least_squares,
@@ -86,6 +86,9 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"sweep value {v} outside [0, {self.radar.n_pulses - 1}]"
                 )
+        for snr in self.snr_list:
+            if snr is not None and not math.isfinite(snr):
+                raise ConfigError(f"snr_db must be finite, got {snr}")
         solvers = tuple(self.solvers)
         object.__setattr__(self, "solvers", solvers)
         if not solvers:
@@ -471,7 +474,7 @@ def selftest(seed: int = 0) -> list:
     u = rng.standard_normal(cfg.n_cells) + 1j * rng.standard_normal(cfg.n_cells)
     v = rng.standard_normal(sys.n_rows) + 1j * rng.standard_normal(sys.n_rows)
     lhs = np.vdot(v, sys.phi @ u)
-    rhs = np.vdot(sys.phi.conj().T @ v, u)
+    rhs = np.vdot(adjoint(sys.phi, v), u)
     adj = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     results.append(("adjoint consistency", adj <= 1e-10, f"rel err {adj:.2e}"))
 

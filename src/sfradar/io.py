@@ -5,6 +5,8 @@ TRM files carry one header line
     SFRTRM v1 M=<int> S=<int> dt=<float> order=row-major
 
 followed by M*S lines of ``re,im`` decimal pairs in row-major order.
+dt is the spacing of the sample columns. A one-column TRM has no
+spacing: it is written with dt=0, and its dt is not checked on reading.
 Profiles are exported as ``range_m,magnitude,phase_rad`` CSV with nine
 significant digits.
 """
@@ -80,7 +82,8 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
             f"{path}: header declares {header['M']} x {header['S']}, "
             f"expected {m_expected} x {s_expected} from schedule/config"
         )
-    if not math.isclose(header["dt"], cfg.delta_t, rel_tol=1e-9):
+    dt_ok = math.isclose(header["dt"], cfg.delta_t, rel_tol=1e-9)
+    if s_expected > 1 and not dt_ok:
         raise TrmDimensionError(
             f"{path}: header dt={header['dt']!r} does not match "
             f"configured delta_t={cfg.delta_t!r}"

@@ -72,6 +72,11 @@ class RadarConfig:
             raise ConfigError(f"q_start must be >= 0, got {self.q_start}")
         if not self.c_light > 0:
             raise ConfigError(f"c_light must be positive, got {self.c_light}")
+        if self.n_samples < 1:
+            raise ConfigError(
+                "the gate holds no fast-time sample: l_bins / (delta_f * delta_t)"
+                f" = {self.l_bins / (self.delta_f * self.delta_t):.3g} rounds to 0"
+            )
 
     @property
     def coarse_bin_extent(self) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .echo import PulseSchedule, Trm
 from .model import PulseShape, RadarConfig
-from .sensing import SensingSystem, build_sensing_system
+from .sensing import SensingSystem, adjoint, build_sensing_system
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class SolverOptions:
     epsilon picks the residual budget explicitly; when None it is derived
     from the system noise level as epsilon_factor * sigma * sqrt(n_rows).
     ls_ridge defaults to 1e-6 times the largest squared singular value of
-    the operator (estimated by power iteration). max_iters caps the inner
-    iterations spent at each penalty level.
+    the operator (the exact top eigenvalue of its Gram matrix, computed
+    once per system). max_iters caps the inner iterations spent at each
+    penalty level.
     """
 
     max_iters: int = 5000
@@ -95,30 +96,16 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return z * scale
 
 
-def operator_norm_sq(phi: np.ndarray, min_iters: int = 30, tol: float = 1e-6,
-                     max_iters: int = 500) -> float:
-    """Largest squared singular value of phi, by seeded power iteration.
+def operator_norm_sq(op: SensingSystem | np.ndarray) -> float:
+    """Largest squared singular value of a sensing system or a bare matrix.
 
-    Runs at least min_iters rounds and stops once the estimate's relative
-    change drops below tol.
+    Exact to roundoff: the top eigenvalue of the Gram matrix phi^H phi.
+    A system builds its Gram matrix from its factors, computes the value
+    once and keeps it, so later calls on the same system cost nothing.
     """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(phi.shape[1]) + 1j * rng.standard_normal(phi.shape[1])
-    norm = np.linalg.norm(v)
-    if norm == 0 or phi.size == 0:
-        return 0.0
-    v /= norm
-    est = 0.0
-    for i in range(max_iters):
-        w = phi.conj().T @ (phi @ v)
-        new_est = float(np.linalg.norm(w))
-        if new_est == 0.0:
-            return 0.0
-        v = w / new_est
-        if i + 1 >= min_iters and abs(new_est - est) <= tol * new_est:
-            return new_est
-        est = new_est
-    return est
+    if isinstance(op, SensingSystem):
+        return op.norm_sq
+    return float(np.linalg.eigvalsh(op.conj().T @ op)[-1])
 
 
 def prox_gradient_l1(
@@ -152,7 +139,7 @@ def prox_gradient_l1(
     history = []
     iters = 0
     for k in range(max_iters):
-        grad = phi.conj().T @ (phi @ z - y)
+        grad = adjoint(phi, phi @ z - y)
         x_new = soft_threshold(z - step * grad, lam * step)
         iters = k + 1
         if accelerate:
@@ -208,13 +195,13 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
         # the zero profile is already feasible, and it minimizes the l1 norm
         return result(zero, 0, True)
 
-    lam_max = float(np.max(np.abs(phi.conj().T @ y)))
+    lam_max = float(np.max(np.abs(adjoint(phi, y))))
     if lam_max == 0.0:
         # y is orthogonal to the operator range; no estimate can shrink
         # the residual below ||y||, which exceeds eps here
         return result(zero, 0, False)
 
-    l_op = operator_norm_sq(phi)
+    l_op = operator_norm_sq(sys)
     step = 1.0 / (1.01 * l_op)
 
     x = zero.copy()
@@ -247,13 +234,12 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
         raise ValueError("sensing system contains non-finite entries")
     ridge = opts.ls_ridge
     if ridge is None:
-        ridge = 1e-6 * operator_norm_sq(phi)
+        ridge = 1e-6 * operator_norm_sq(sys)
     if ridge <= 0:
         ridge = np.finfo(float).tiny
-    gram = phi.conj().T @ phi
+    gram = sys.gram()
     gram[np.diag_indices_from(gram)] += ridge
-    rhs = phi.conj().T @ y
-    h = np.linalg.solve(gram, rhs)
+    h = np.linalg.solve(gram, adjoint(phi, y))
     residual = float(np.linalg.norm(y - phi @ h))
     return RecoveryResult(
         h_est=h,

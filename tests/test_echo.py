@@ -189,6 +189,12 @@ def test_noise_sigma_follows_snr_definition(cfg32, ideal_shape):
     assert noisy.snr_db == 15.0
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_noise_model_rejects_non_finite_snr(snr_db):
+    with pytest.raises(ConfigError, match="snr_db"):
+        NoiseModel(snr_db=snr_db, seed=0)
+
+
 def test_noise_draws_keyed_by_pulse_and_sample(cfg32, ideal_shape):
     # unit draws for a surviving pulse must not depend on the schedule
     rng = np.random.default_rng(12)

@@ -163,6 +163,8 @@ def test_spec_validation(small_cfg):
         ExperimentSpec(radar=small_cfg, solvers=())
     with pytest.raises(ConfigError):
         SyntheticSparse(0)
+    with pytest.raises(ConfigError):
+        ExperimentSpec(radar=small_cfg, snr_db=(15.0, float("nan")))
 
 
 GOOD_CONFIG = """

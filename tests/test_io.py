@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from sfradar import (
+    PulseShape,
+    RadarConfig,
     RangeProfile,
     TrmDimensionError,
     TrmFileError,
@@ -41,6 +43,24 @@ def test_trm_round_trip(tmp_path, cfg32, ideal_shape, schedule):
     loaded = load_trm_file(dest, cfg32, schedule)
     assert np.array_equal(loaded.data, trm.data)
     assert loaded.row_pulse_indices == schedule.valid_indices
+
+
+def test_trm_single_column_round_trip(tmp_path):
+    # S = 1: the file has no column spacing to record
+    cfg = RadarConfig(
+        f_c=5e9, delta_f=16e6, n_pulses=8, pulse_bandwidth=24e6, l_bins=1,
+        delta_t=1 / 16e6,
+    )
+    assert cfg.n_samples == 1
+    schedule = random_missing_schedule(8, 3, seed=2)
+    rng = np.random.default_rng(62)
+    profile = RangeProfile(sparse_profile(cfg, 3, rng), cfg)
+    trm = build_trm(profile, schedule, PulseShape.ideal_sinc(24e6))
+    dest = tmp_path / "one_column.trm"
+    write_trm_file(trm, dest)
+    loaded = load_trm_file(dest, cfg, schedule)
+    assert np.array_equal(loaded.data, trm.data)
+    assert np.array_equal(loaded.col_instants, trm.col_instants)
 
 
 def test_trm_all_zero_file(tmp_path, cfg32, schedule):

@@ -114,6 +114,15 @@ def test_config_invariants_rejected(kwargs):
         RadarConfig(**base)
 
 
+def test_config_without_fast_time_samples_rejected():
+    # one coarse bin sampled every 1 us: l_bins / (delta_f delta_t) = 1/16
+    with pytest.raises(ConfigError, match="no fast-time sample"):
+        RadarConfig(
+            f_c=5e9, delta_f=16e6, n_pulses=8, pulse_bandwidth=24e6, l_bins=1,
+            delta_t=1e-6,
+        )
+
+
 def test_ideal_sinc_values():
     shape = PulseShape.ideal_sinc(24e6)
     assert pulse_shape_eval(shape, 0.0) == 1.0

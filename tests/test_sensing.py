@@ -13,6 +13,7 @@ from sfradar import (
     random_missing_schedule,
     synthesize_echo_sample,
 )
+from sfradar.sensing import GRAM_BLOCK, adjoint
 from conftest import sparse_profile
 
 
@@ -126,8 +127,17 @@ def test_adjoint_consistency(cfg32, ideal_shape):
         h = rng.standard_normal(384) + 1j * rng.standard_normal(384)
         v = rng.standard_normal(360) + 1j * rng.standard_normal(360)
         lhs = np.vdot(v, sys_.phi @ h)
-        rhs = np.vdot(sys_.phi.conj().T @ v, h)
+        rhs = np.vdot(adjoint(sys_.phi, v), h)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+def test_gram_from_factors_on_default_gate(cfg32, ideal_shape):
+    # 384 cells: the E^T E factor is folded in over several column blocks
+    rng = np.random.default_rng(30)
+    _, _, _, sys_ = build_system(cfg32, ideal_shape, 12, rng)
+    assert sys_.n_cells > GRAM_BLOCK
+    dense = sys_.phi.conj().T @ sys_.phi
+    assert np.max(np.abs(sys_.gram() - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_no_dead_columns(cfg32, ideal_shape):

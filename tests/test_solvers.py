@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,14 +85,27 @@ def test_soft_threshold_phase_ray_is_optimal():
     assert prox_obj <= np.min(objective) + 1e-6
 
 
-# -- operator norm estimate ---------------------------------------------------
+# -- operator norm ------------------------------------------------------------
 
 def test_operator_norm_sq_matches_svd():
     rng = np.random.default_rng(33)
     for m, n in ((40, 60), (60, 40), (30, 30)):
         phi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         exact = np.linalg.norm(phi, 2) ** 2
-        assert operator_norm_sq(phi) == pytest.approx(exact, rel=1e-3)
+        assert operator_norm_sq(phi) == pytest.approx(exact, rel=1e-10)
+
+
+def test_operator_norm_sq_cached_on_system(cfg32, ideal_shape, monkeypatch):
+    rng = np.random.default_rng(44)
+    _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
+    first = operator_norm_sq(sys_)
+    assert first == pytest.approx(np.linalg.norm(sys_.phi, 2) ** 2, rel=1e-10)
+
+    def no_gram(self):
+        raise AssertionError("Gram matrix rebuilt for a system already measured")
+
+    monkeypatch.setattr(SensingSystem, "gram", no_gram)
+    assert operator_norm_sq(sys_) == first
 
 
 # -- sparse recovery ----------------------------------------------------------
@@ -204,6 +219,22 @@ def test_prox_gradient_fixed_point_optimality():
     assert np.max(np.abs(stationarity)) <= 1e-3 * lam
     # off the support the correlation cannot exceed the threshold
     assert np.max(np.abs(grad[~support])) <= lam * (1 + 1e-6)
+
+
+def test_prox_gradient_does_not_copy_the_operator(cfg32, ideal_shape):
+    rng = np.random.default_rng(43)
+    _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
+    lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
+    step = 1.0 / (1.01 * operator_norm_sq(sys_))
+    x0 = np.zeros(sys_.n_cells, dtype=complex)
+    tracemalloc.start()
+    try:
+        _, iters = prox_gradient_l1(sys_.phi, sys_.y, lam, step, x0, 20, 1e-14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters == 20
+    assert peak < sys_.phi.nbytes
 
 
 # -- least squares ------------------------------------------------------------
