@@ -123,18 +123,34 @@ class Trm:
             )
 
 
-def _phase_matrix(cfg: RadarConfig, pulse_indices) -> np.ndarray:
-    """exp(-j 2 pi n p / N) for the given pulse indices n and all cells p."""
-    n = np.asarray(pulse_indices, dtype=float)[:, None]
-    p = np.arange(cfg.n_cells, dtype=float)[None, :]
-    return np.exp(-2j * np.pi * n * p / cfg.n_pulses)
-
-
 def _shape_matrix(cfg: RadarConfig, shape: PulseShape, instants) -> np.ndarray:
     """Pulse shape at (sample instant - cell delay) for all instants/cells."""
     tau = np.asarray(instants, dtype=float)[:, None]
     delays = np.arange(cfg.n_cells, dtype=float)[None, :] * cfg.fine_delay_spacing
     return pulse_shape_eval(shape, tau - delays)
+
+
+def _shape_stack(envelopes: np.ndarray, n_pulses: int) -> np.ndarray:
+    """Shape matrix E (S x NL) restacked as (N, S, L): [n, s, l] = E[s, lN + n]."""
+    s_count = envelopes.shape[0]
+    stacked = envelopes.reshape(s_count, -1, n_pulses).transpose(2, 0, 1)
+    return np.ascontiguousarray(stacked)
+
+
+def _fold_fft(stack: np.ndarray, values: np.ndarray, pulse_indices) -> np.ndarray:
+    """Noiseless echoes (M x S) of a profile for the given pulse indices.
+
+    Cell p = lN + n carries the phase exp(-j 2 pi c n / N) for pulse c,
+    which does not depend on the coarse bin l. So each sample folds the
+    shape-weighted profile over the coarse bins, one real (S x L) by
+    (L x 2) product per fine index n, and an N-point FFT over n gives
+    every pulse at once; the rows of pulse_indices are kept.
+    """
+    n_pulses, _, l_bins = stack.shape
+    h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
+    h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
+    folded = (stack @ h).view(np.complex128)[..., 0]  # (N, S)
+    return np.fft.fft(folded, axis=0)[pulse_indices]
 
 
 def synthesize_echo_sample(
@@ -167,7 +183,9 @@ def build_trm(
 
     Entry (m, s) is the echo of valid pulse schedule[m] sampled at
     s * delta_t, plus an optional seeded circular complex Gaussian term.
-    Rows follow schedule order; columns enumerate s = 0 .. S-1.
+    Rows follow schedule order; columns enumerate s = 0 .. S-1. The
+    noiseless part comes from the fold-and-FFT kernel that the sensing
+    operator applies, so it equals Phi h exactly.
     """
     cfg = profile.cfg
     if schedule.n_pulses != cfg.n_pulses:
@@ -176,9 +194,8 @@ def build_trm(
         )
     s_count = cfg.n_samples
     instants = np.arange(s_count) * cfg.delta_t
-    phases = _phase_matrix(cfg, schedule.valid_indices)
-    envelopes = _shape_matrix(cfg, shape, instants)
-    data = (phases * profile.values[None, :]) @ envelopes.T
+    stack = _shape_stack(_shape_matrix(cfg, shape, instants), cfg.n_pulses)
+    data = _fold_fft(stack, profile.values, list(schedule.valid_indices))
 
     sigma = 0.0
     snr_db = None

@@ -22,11 +22,12 @@ from .echo import (
     RangeProfile,
     build_trm,
     random_missing_schedule,
+    synthesize_echo_sample,
 )
 from .io import load_profile_csv
 from .metrics import similarity
 from .model import ConfigError, PulseShape, RadarConfig
-from .sensing import adjoint, build_sensing_system
+from .sensing import build_sensing_system
 from .solvers import (
     SolverOptions,
     solve_least_squares,
@@ -209,7 +210,7 @@ def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
 
 def _worker_count(workers: int | None) -> int:
     if workers is None:
-        raw = os.environ.get(THREADS_ENV, "0")
+        raw = os.environ.get(THREADS_ENV, "1")
         try:
             workers = int(raw)
         except ValueError:
@@ -223,8 +224,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     """Run every (missing count, SNR, trial) cell of the spec.
 
     Returns one TrialRecord per requested solver per trial, sorted by
-    (missing_count, snr, trial, method). Trials run in a thread pool
-    capped by the SFR_THREADS environment variable (0 or unset = one
+    (missing_count, snr, trial, method). Trials run on one worker unless
+    the SFR_THREADS environment variable asks for a thread pool (0 = one
     worker per CPU); records are identical across worker counts.
     """
     file_values = None
@@ -466,15 +467,19 @@ def selftest(seed: int = 0) -> list:
     trm = build_trm(truth, schedule, shape)
     sys = build_sensing_system(cfg, shape, schedule, trm)
 
-    err = np.linalg.norm(sys.phi @ truth.values - sys.y) / np.linalg.norm(sys.y)
+    direct = np.array([
+        synthesize_echo_sample(truth, c_m, s * cfg.delta_t, shape)
+        for c_m, s in sys.row_keys
+    ])
+    err = np.linalg.norm(sys.apply(truth.values) - direct) / np.linalg.norm(direct)
     results.append(
         ("sensing operator matches echo synthesis", err <= 1e-12, f"rel err {err:.2e}")
     )
 
     u = rng.standard_normal(cfg.n_cells) + 1j * rng.standard_normal(cfg.n_cells)
     v = rng.standard_normal(sys.n_rows) + 1j * rng.standard_normal(sys.n_rows)
-    lhs = np.vdot(v, sys.phi @ u)
-    rhs = np.vdot(adjoint(sys.phi, v), u)
+    lhs = np.vdot(v, sys.apply(u))
+    rhs = np.vdot(sys.adjoint(v), u)
     adj = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     results.append(("adjoint consistency", adj <= 1e-10, f"rel err {adj:.2e}"))
 

@@ -1,18 +1,22 @@
 """Linear measurement model linking a range profile to TRM samples.
 
-Every TRM entry is a linear projection of the profile: stacking the
-projection rows for each (valid pulse, sample instant) pair gives a
-dense complex operator, and vectorizing the TRM in the same order gives
-the observation vector. With pulses missing the stacked system has
-fewer rows than unknowns and reconstruction needs a prior.
+Every TRM entry is a linear projection of the profile, and stacking the
+entries sample-major gives the observation vector y = Phi h. Row
+(sample s, valid pulse c) of Phi is E[s] * exp(-j 2 pi c p / N) over the
+cells p: the pulse shape at that sample times a carrier phase that only
+depends on p mod N. So Phi h folds the shape-weighted profile over the
+coarse bins and takes one N-point FFT across the fine index (the kernel
+echo synthesis uses), Phi^H v runs the same steps backwards, and Phi is
+never stored. The dense matrix is still available, built on demand, as
+a test oracle. With pulses missing the system has fewer rows than
+unknowns and reconstruction needs a prior.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .echo import PulseSchedule, Trm, _phase_matrix, _shape_matrix
+from .echo import PulseSchedule, Trm, _fold_fft, _shape_matrix, _shape_stack
 from .model import ConfigError, PulseShape, RadarConfig, pulse_shape_eval
 
 # Columns of E^T E formed at a time when assembling the Gram matrix. A
@@ -21,48 +25,120 @@ from .model import ConfigError, PulseShape, RadarConfig, pulse_shape_eval
 GRAM_BLOCK = 128
 
 
-@dataclass(frozen=True, eq=False)
 class SensingSystem:
-    """Stacked measurement operator and observation vector.
+    """Measurement operator Phi and observation vector y.
 
     Rows are ordered column-major over the TRM: all valid pulses of
     sample s = 0 first, then s = 1, and so on. row_keys records the
     (pulse index, sample index) of every row so the ordering is
     reproducible downstream.
 
-    A system from build_sensing_system also keeps the two factors of phi:
-    envelopes E (S x NL, pulse shape per sample and cell) and phases P
-    (M x NL, carrier phase per valid pulse and cell), with row s*M + m of
-    phi equal to E[s] * P[m].
+    A system from build_sensing_system is matrix-free: it keeps the shape
+    matrix E (envelopes, S x NL), the valid pulse indices and N, and
+    applies Phi and Phi^H by fold-and-FFT. Row s*M + m of Phi is
+    E[s] * P[m], with P[m, p] = exp(-j 2 pi pulses[m] p / N). A system
+    built from a bare matrix (phi=...) applies that matrix instead.
     """
 
-    phi: np.ndarray
-    y: np.ndarray
-    row_keys: tuple
-    noise_sigma: float
-    underdetermined: bool
-    envelopes: np.ndarray | None = None
-    phases: np.ndarray | None = None
+    def __init__(self, y, noise_sigma, underdetermined, row_keys=None,
+                 phi=None, envelopes=None, pulses=None, n_pulses=None):
+        if (phi is None) == (envelopes is None):
+            raise ValueError("give either phi or envelopes, pulses and n_pulses")
+        self.y = y
+        self.noise_sigma = noise_sigma
+        self.underdetermined = underdetermined
+        self.envelopes = envelopes
+        self._dense = phi
+        self._row_keys = row_keys
+        if phi is None:
+            self.pulses = np.asarray(pulses, dtype=np.intp)
+            self.n_pulses = n_pulses
 
     @property
     def n_rows(self) -> int:
-        return self.phi.shape[0]
+        return self.y.size
 
     @property
     def n_cells(self) -> int:
-        return self.phi.shape[1]
+        if self._dense is not None:
+            return self._dense.shape[1]
+        return self.envelopes.shape[1]
+
+    @property
+    def row_keys(self) -> tuple:
+        if self._row_keys is None:
+            m_count = self.pulses.size
+            self._row_keys = tuple(
+                (int(self.pulses[i % m_count]), i // m_count)
+                for i in range(self.n_rows)
+            )
+        return self._row_keys
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """Dense Phi (S*M x NL), built on first use and kept: a test oracle.
+
+        No solver touches it; at N=128, L=32 it would need about 400 MB.
+        """
+        if self._dense is not None:
+            return self._dense
+        cells = np.arange(self.n_cells, dtype=float)
+        pulses = self.pulses.astype(float)[:, None]
+        phases = np.exp(-2j * np.pi * pulses * cells / self.n_pulses)
+        e = self.envelopes
+        return (e[:, None, :] * phases[None, :, :]).reshape(-1, self.n_cells)
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return _shape_stack(self.envelopes, self.n_pulses)
+
+    def all_finite(self) -> bool:
+        """Whether y and the operator (its factors, or phi) are all finite."""
+        op = self.envelopes if self._dense is None else self._dense
+        return bool(np.all(np.isfinite(op)) and np.all(np.isfinite(self.y)))
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """Phi h, sample-major like y."""
+        if self._dense is not None:
+            return self._dense @ h
+        return _fold_fft(self._stack, h, self.pulses).ravel(order="F")
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """Phi^H v.
+
+        Scatters v onto the valid pulses of a full (N x S) pulse grid, runs
+        an unscaled inverse FFT over the pulses, and weights each sample by
+        its shape: one real (L x S) by (S x 2) product per fine index.
+        A bare matrix is used as stored, conjugating only v.
+        """
+        if self._dense is not None:
+            return (v.conj() @ self._dense).conj()
+        n_pulses, s_count, l_bins = self._stack.shape
+        grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
+        grid[self.pulses] = v.reshape(s_count, -1).T
+        grid = np.fft.ifft(grid, axis=0, norm="forward")
+        w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
+        g = (self._stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
+        return g.T.ravel()
 
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
 
-        From the factors this is (P^H P) * (E^T E), elementwise: an
-        (NL x NL) product over M and S rows instead of over all S*M rows
-        of phi. E^T E is folded in a block of columns at a time, so the
-        only NL x NL array is the result.
+        From the factors this is (P^H P) * (E^T E), elementwise. P^H P is
+        circulant in the fine index: entry (p, q) is c[(p - q) mod N] with
+        c the unscaled inverse FFT of the valid-pulse mask, so it is one
+        N x N block tiled over the coarse bins. E^T E is folded in a block
+        of columns at a time, so the only NL x NL array is the result.
         """
-        if self.envelopes is None or self.phases is None:
-            return self.phi.conj().T @ self.phi
-        g = self.phases.conj().T @ self.phases
+        if self._dense is not None:
+            return self._dense.conj().T @ self._dense
+        n = self.n_pulses
+        mask = np.zeros(n)
+        mask[self.pulses] = 1.0
+        c = np.fft.ifft(mask, norm="forward")
+        k = np.arange(n)
+        l_bins = self.n_cells // n
+        g = np.tile(c[(k[:, None] - k[None, :]) % n], (l_bins, l_bins))
         e = self.envelopes
         for j in range(0, g.shape[1], GRAM_BLOCK):
             g[:, j:j + GRAM_BLOCK] *= e.T @ e[:, j:j + GRAM_BLOCK]
@@ -70,21 +146,12 @@ class SensingSystem:
 
     @cached_property
     def norm_sq(self) -> float:
-        """Largest squared singular value of phi, computed once.
+        """Largest squared singular value of Phi, computed once.
 
         The top eigenvalue of the Gram matrix, exact to roundoff; it is
         the Lipschitz constant of the least-squares gradient.
         """
         return float(np.linalg.eigvalsh(self.gram())[-1])
-
-
-def adjoint(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """phi^H v without materialising the conjugate transpose of phi.
-
-    Only the vector v is conjugated, so the cost is one product with phi
-    as stored.
-    """
-    return (v.conj() @ phi).conj()
 
 
 def projection_row(
@@ -110,7 +177,7 @@ def build_sensing_system(
     schedule: PulseSchedule,
     trm: Trm,
 ) -> SensingSystem:
-    """Stack projection rows and vectorize the TRM into one linear system.
+    """Pair the matrix-free operator with the vectorized TRM.
 
     The observation vector is the TRM flattened column-major (sample-major),
     matching the row order of the operator. The noise level tag of the TRM
@@ -131,23 +198,11 @@ def build_sensing_system(
         raise ConfigError("TRM row pulse indices do not match the schedule")
 
     instants = np.arange(s_count) * cfg.delta_t
-    phases = _phase_matrix(cfg, schedule.valid_indices)       # (M, NL)
-    envelopes = _shape_matrix(cfg, shape, instants)           # (S, NL)
-    # (S, M, NL) -> (S*M, NL): row i = (m = i mod M, s = i // M)
-    phi = (envelopes[:, None, :] * phases[None, :, :]).reshape(
-        s_count * m_count, cfg.n_cells
-    )
-    y = trm.data.flatten(order="F")
-    row_keys = tuple(
-        (schedule.valid_indices[i % m_count], i // m_count)
-        for i in range(m_count * s_count)
-    )
     return SensingSystem(
-        phi=phi,
-        y=y,
-        row_keys=row_keys,
+        y=trm.data.flatten(order="F"),
         noise_sigma=trm.noise_sigma,
         underdetermined=m_count * s_count < cfg.n_cells,
-        envelopes=envelopes,
-        phases=phases,
+        envelopes=_shape_matrix(cfg, shape, instants),
+        pulses=schedule.valid_indices,
+        n_pulses=cfg.n_pulses,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .echo import PulseSchedule, Trm
 from .model import PulseShape, RadarConfig
-from .sensing import SensingSystem, adjoint, build_sensing_system
+from .sensing import SensingSystem, build_sensing_system
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def operator_norm_sq(op: SensingSystem | np.ndarray) -> float:
 
 
 def prox_gradient_l1(
-    phi: np.ndarray,
+    op: SensingSystem,
     y: np.ndarray,
     lam: float,
     step: float,
@@ -119,7 +119,7 @@ def prox_gradient_l1(
     accelerate: bool = True,
     keep_history: bool = False,
 ):
-    """Proximal-gradient descent on 0.5 ||y - phi x||^2 + lam ||x||_1.
+    """Proximal-gradient descent on 0.5 ||y - Phi x||^2 + lam ||x||_1.
 
     Accelerated (momentum) by default; accelerate=False gives the plain
     iteration whose objective is non-increasing. Returns (x, iterations)
@@ -127,9 +127,11 @@ def prox_gradient_l1(
 
     Parameters
     ----------
+    op : SensingSystem
+        Supplies Phi through its apply and adjoint.
     step : float
         Gradient step size; must not exceed the reciprocal of the largest
-        squared singular value of phi.
+        squared singular value of Phi.
     x0 : ndarray
         Warm start.
     """
@@ -139,7 +141,7 @@ def prox_gradient_l1(
     history = []
     iters = 0
     for k in range(max_iters):
-        grad = adjoint(phi, phi @ z - y)
+        grad = op.adjoint(op.apply(z) - y)
         x_new = soft_threshold(z - step * grad, lam * step)
         iters = k + 1
         if accelerate:
@@ -149,7 +151,7 @@ def prox_gradient_l1(
         else:
             z = x_new
         if keep_history:
-            r = y - phi @ x_new
+            r = y - op.apply(x_new)
             history.append(
                 0.5 * float(np.vdot(r, r).real) + lam * float(np.sum(np.abs(x_new)))
             )
@@ -173,13 +175,13 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
     iterate is returned with converged=False.
     """
     opts = opts or SolverOptions()
-    phi, y = sys.phi, sys.y
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
+    y = sys.y
+    if not sys.all_finite():
         raise ValueError("sensing system contains non-finite entries")
     eps = float(opts.resolve_epsilon(sys))
 
     def result(h, iters, converged):
-        residual = float(np.linalg.norm(y - phi @ h))
+        residual = float(np.linalg.norm(y - sys.apply(h)))
         return RecoveryResult(
             h_est=h,
             method="sparse_l1",
@@ -195,7 +197,7 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
         # the zero profile is already feasible, and it minimizes the l1 norm
         return result(zero, 0, True)
 
-    lam_max = float(np.max(np.abs(adjoint(phi, y))))
+    lam_max = float(np.max(np.abs(sys.adjoint(y))))
     if lam_max == 0.0:
         # y is orthogonal to the operator range; no estimate can shrink
         # the residual below ||y||, which exceeds eps here
@@ -210,11 +212,11 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
     for k in range(1, opts.lambda_path_steps + 1):
         lam = lam_max * opts.lambda_ratio**k
         x, iters = prox_gradient_l1(
-            phi, y, lam, step, x, opts.max_iters, opts.rel_change_tol,
+            sys, y, lam, step, x, opts.max_iters, opts.rel_change_tol,
             accelerate=opts.accelerate,
         )
         total_iters += iters
-        residual = float(np.linalg.norm(y - phi @ x))
+        residual = float(np.linalg.norm(y - sys.apply(x)))
         if residual <= eps:
             return result(x, total_iters, True)
         if residual < best_residual:
@@ -229,8 +231,8 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     up to factorization roundoff.
     """
     opts = opts or SolverOptions()
-    phi, y = sys.phi, sys.y
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
+    y = sys.y
+    if not sys.all_finite():
         raise ValueError("sensing system contains non-finite entries")
     ridge = opts.ls_ridge
     if ridge is None:
@@ -239,8 +241,8 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
         ridge = np.finfo(float).tiny
     gram = sys.gram()
     gram[np.diag_indices_from(gram)] += ridge
-    h = np.linalg.solve(gram, adjoint(phi, y))
-    residual = float(np.linalg.norm(y - phi @ h))
+    h = np.linalg.solve(gram, sys.adjoint(y))
+    residual = float(np.linalg.norm(y - sys.apply(h)))
     return RecoveryResult(
         h_est=h,
         method="least_squares",
@@ -291,7 +293,7 @@ def solve_stretch_idft(
 
     schedule = PulseSchedule(rows, cfg.n_pulses)
     sys = build_sensing_system(cfg, shape, schedule, trm)
-    residual = float(np.linalg.norm(sys.y - sys.phi @ h_est))
+    residual = float(np.linalg.norm(sys.y - sys.apply(h_est)))
     return RecoveryResult(
         h_est=h_est,
         method="stretch_idft",

@@ -271,6 +271,13 @@ def test_worker_count_env(monkeypatch, small_cfg):
     assert _worker_count(2) == 2
 
 
+def test_worker_count_defaults_to_one(monkeypatch):
+    from sfradar.harness import _worker_count
+
+    monkeypatch.delenv("SFR_THREADS", raising=False)
+    assert _worker_count(None) == 1
+
+
 def test_selftest_all_pass():
     results = selftest(seed=1)
     assert len(results) >= 5

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from sfradar import (
     random_missing_schedule,
     synthesize_echo_sample,
 )
-from sfradar.sensing import GRAM_BLOCK, adjoint
+from sfradar.sensing import GRAM_BLOCK
 from conftest import sparse_profile
 
 
@@ -127,7 +129,7 @@ def test_adjoint_consistency(cfg32, ideal_shape):
         h = rng.standard_normal(384) + 1j * rng.standard_normal(384)
         v = rng.standard_normal(360) + 1j * rng.standard_normal(360)
         lhs = np.vdot(v, sys_.phi @ h)
-        rhs = np.vdot(adjoint(sys_.phi, v), h)
+        rhs = np.vdot(sys_.adjoint(v), h)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -138,6 +140,20 @@ def test_gram_from_factors_on_default_gate(cfg32, ideal_shape):
     assert sys_.n_cells > GRAM_BLOCK
     dense = sys_.phi.conj().T @ sys_.phi
     assert np.max(np.abs(sys_.gram() - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_build_does_not_materialise_phi(cfg32, ideal_shape):
+    rng = np.random.default_rng(31)
+    profile = RangeProfile(sparse_profile(cfg32, 24, rng), cfg32)
+    schedule = PulseSchedule.full(cfg32.n_pulses)
+    trm = build_trm(profile, schedule, ideal_shape)
+    tracemalloc.start()
+    try:
+        sys_ = build_sensing_system(cfg32, ideal_shape, schedule, trm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys_.phi.nbytes / 4
 
 
 def test_no_dead_columns(cfg32, ideal_shape):

@@ -196,7 +196,7 @@ def test_prox_gradient_objective_monotone_without_acceleration():
     lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
     step = 1.0 / (1.01 * np.linalg.norm(sys_.phi, 2) ** 2)
     _, _, history = prox_gradient_l1(
-        sys_.phi, sys_.y, lam, step, np.zeros(45, dtype=complex),
+        sys_, sys_.y, lam, step, np.zeros(45, dtype=complex),
         500, 1e-12, accelerate=False, keep_history=True,
     )
     history = np.asarray(history)
@@ -211,7 +211,7 @@ def test_prox_gradient_fixed_point_optimality():
     lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
     step = 1.0 / (1.01 * np.linalg.norm(sys_.phi, 2) ** 2)
     x, _ = prox_gradient_l1(
-        sys_.phi, sys_.y, lam, step, np.zeros(64, dtype=complex), 50_000, 1e-14
+        sys_, sys_.y, lam, step, np.zeros(64, dtype=complex), 50_000, 1e-14
     )
     support = np.abs(x) > 1e-9 * np.max(np.abs(x))
     grad = sys_.phi.conj().T @ (sys_.phi @ x - sys_.y)
@@ -224,17 +224,26 @@ def test_prox_gradient_fixed_point_optimality():
 def test_prox_gradient_does_not_copy_the_operator(cfg32, ideal_shape):
     rng = np.random.default_rng(43)
     _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
-    lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
+    lam = 0.05 * float(np.max(np.abs(sys_.adjoint(sys_.y))))
     step = 1.0 / (1.01 * operator_norm_sq(sys_))
     x0 = np.zeros(sys_.n_cells, dtype=complex)
     tracemalloc.start()
     try:
-        _, iters = prox_gradient_l1(sys_.phi, sys_.y, lam, step, x0, 20, 1e-14)
+        _, iters = prox_gradient_l1(sys_, sys_.y, lam, step, x0, 20, 1e-14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert iters == 20
-    assert peak < sys_.phi.nbytes
+    assert peak < sys_.phi.nbytes / 4
+
+
+def test_solvers_never_build_the_dense_operator(cfg32, ideal_shape):
+    rng = np.random.default_rng(46)
+    _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
+    solve_sparse_l1(sys_)
+    solve_least_squares(sys_)
+    # phi is built on first access and then kept on the system
+    assert "phi" not in vars(sys_)
 
 
 # -- least squares ------------------------------------------------------------
