@@ -8,6 +8,7 @@ Verbs:
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -156,7 +157,9 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by later calls."""
     parser = argparse.ArgumentParser(
         prog="sfradar",
         description=(
@@ -198,8 +201,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

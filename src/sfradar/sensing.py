@@ -144,14 +144,87 @@ class SensingSystem:
             g[:, j:j + GRAM_BLOCK] *= e.T @ e[:, j:j + GRAM_BLOCK]
         return g
 
+    def gram_blocks(self) -> np.ndarray:
+        """Phi^H Phi of a full schedule as its N diagonal L x L blocks.
+
+        With every pulse present P^H P is N times the identity over the
+        fine index, so Phi^H Phi only couples cells with the same
+        n = p mod N: block n is N stack[n]^T stack[n], over the coarse bins
+        l of the cells p = lN + n.
+        """
+        if self.pulses.size != self.n_pulses:
+            raise ValueError("gram_blocks needs a full pulse schedule")
+        stack = self._stack
+        return self.n_pulses * (stack.transpose(0, 2, 1) @ stack)
+
+    def row_gram(self) -> np.ndarray:
+        """Phi Phi^H (S*M x S*M), sample-major like y, as a new array.
+
+        Entry (s, m; s', m') sums E[s, p] E[s', p] exp(-j 2 pi (c_m - c_m') p / N)
+        over the cells; the phase only depends on n = p mod N, so it is
+        B[(c_m - c_m') mod N, s, s'] with B the FFT over n of the S x S
+        products stack[n] stack[n]^T. Each pulse m gathers its row of B
+        straight into the final (S, M, S, M) layout, so the only other
+        array of note is B (N x S x S).
+        """
+        if self._dense is not None:
+            return self._dense @ self._dense.conj().T
+        stack = self._stack
+        b = np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0)
+        k = (self.pulses[:, None] - self.pulses[None, :]) % self.n_pulses
+        s_count, m_count = stack.shape[1], k.shape[0]
+        g = np.empty((s_count, m_count, s_count, m_count), dtype=np.complex128)
+        for m in range(m_count):
+            g[:, m] = b[k[m]].transpose(1, 2, 0)
+        return g.reshape(self.n_rows, self.n_rows)
+
     @cached_property
     def norm_sq(self) -> float:
         """Largest squared singular value of Phi, computed once.
 
-        The top eigenvalue of the Gram matrix, exact to roundoff; it is
-        the Lipschitz constant of the least-squares gradient.
+        The top eigenvalue of the smallest exact normal matrix (see
+        _normal_matrix), exact to roundoff; it is the Lipschitz constant of
+        the least-squares gradient.
         """
-        return float(np.linalg.eigvalsh(self.gram())[-1])
+        _, g = _normal_matrix(self)
+        return float(np.linalg.eigvalsh(g)[..., -1].max())
+
+
+def _normal_matrix(sys: SensingSystem) -> tuple:
+    """The smallest exact normal matrix of Phi as (form, new array).
+
+    "blocks" on a full schedule: the N diagonal L x L blocks of Phi^H Phi
+    (gram_blocks). "rows" when S*M < NL: Phi Phi^H (row_gram). "columns"
+    otherwise: Phi^H Phi (gram). A bare matrix never takes "blocks".
+    """
+    if sys._dense is None and sys.pulses.size == sys.n_pulses:
+        return "blocks", sys.gram_blocks()
+    if sys.n_rows < sys.n_cells:
+        return "rows", sys.row_gram()
+    return "columns", sys.gram()
+
+
+def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
+    """(Phi^H Phi + ridge I)^-1 Phi^H y from the smallest exact normal matrix.
+
+    On a full schedule, one L x L solve per fine index; with fewer rows
+    than cells, the push-through identity
+    (Phi^H Phi + r I)^-1 Phi^H = Phi^H (Phi Phi^H + r I)^-1; otherwise the
+    NL x NL column normal equations.
+    """
+    form, g = _normal_matrix(sys)
+    if form == "blocks":
+        # block n holds the coarse bins of fine index n, cells lN + n; the
+        # complex right-hand side goes in as two real columns
+        n_pulses, l_bins, _ = g.shape
+        g += ridge * np.eye(l_bins)
+        rhs = np.ascontiguousarray(sys.adjoint(sys.y).reshape(l_bins, n_pulses).T)
+        x = np.linalg.solve(g, rhs.view(np.float64).reshape(n_pulses, l_bins, 2))
+        return x.view(np.complex128)[..., 0].T.ravel()
+    g[np.diag_indices_from(g)] += ridge
+    if form == "rows":
+        return sys.adjoint(np.linalg.solve(g, sys.y))
+    return np.linalg.solve(g, sys.adjoint(sys.y))
 
 
 def projection_row(

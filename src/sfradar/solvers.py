@@ -19,7 +19,7 @@ import numpy as np
 
 from .echo import PulseSchedule, Trm
 from .model import PulseShape, RadarConfig
-from .sensing import SensingSystem, build_sensing_system
+from .sensing import SensingSystem, _ridge_solve, build_sensing_system
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,9 @@ class SolverOptions:
     epsilon picks the residual budget explicitly; when None it is derived
     from the system noise level as epsilon_factor * sigma * sqrt(n_rows).
     ls_ridge defaults to 1e-6 times the largest squared singular value of
-    the operator (the exact top eigenvalue of its Gram matrix, computed
-    once per system). max_iters caps the inner iterations spent at each
-    penalty level.
+    the operator (the exact top eigenvalue of its smallest normal matrix,
+    computed once per system). max_iters caps the inner iterations spent
+    at each penalty level.
     """
 
     max_iters: int = 5000
@@ -99,9 +99,11 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 def operator_norm_sq(op: SensingSystem | np.ndarray) -> float:
     """Largest squared singular value of a sensing system or a bare matrix.
 
-    Exact to roundoff: the top eigenvalue of the Gram matrix phi^H phi.
-    A system builds its Gram matrix from its factors, computes the value
-    once and keeps it, so later calls on the same system cost nothing.
+    Exact to roundoff: the top eigenvalue of a normal matrix of phi. A
+    system takes its smallest exact one (diagonal blocks of phi^H phi on a
+    full schedule, phi phi^H when it has fewer rows than cells, phi^H phi
+    otherwise), computes the value once and keeps it, so later calls on
+    the same system cost nothing. A bare matrix uses phi^H phi.
     """
     if isinstance(op, SensingSystem):
         return op.norm_sq
@@ -228,7 +230,8 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     """Ridge-regularized least squares through the normal equations.
 
     Minimizes ||y - phi h||^2 + ridge * ||h||^2; deterministic, and exact
-    up to factorization roundoff.
+    up to factorization roundoff. The normal equations are the smallest
+    exact ones the system has (see sensing._ridge_solve).
     """
     opts = opts or SolverOptions()
     y = sys.y
@@ -239,9 +242,7 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
         ridge = 1e-6 * operator_norm_sq(sys)
     if ridge <= 0:
         ridge = np.finfo(float).tiny
-    gram = sys.gram()
-    gram[np.diag_indices_from(gram)] += ridge
-    h = np.linalg.solve(gram, sys.adjoint(y))
+    h = _ridge_solve(sys, ridge)
     residual = float(np.linalg.norm(y - sys.apply(h)))
     return RecoveryResult(
         h_est=h,

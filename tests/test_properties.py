@@ -1,8 +1,10 @@
-"""Property tests of the sensing operator over small random gates.
+"""Property tests over small random inputs.
 
-Each example draws a gate (pulses, coarse bins, sampling rate), a pulse
-shape and a pulse schedule, and checks the matrix-free operator and the
-identities the solvers rely on against the dense oracle phi.
+Most examples draw a gate (pulses, coarse bins, sampling rate), a pulse
+shape and a pulse schedule, and check the matrix-free operator, its
+normal matrices and the identities the solvers rely on against the dense
+oracle phi. The rest check the soft-threshold prox and the independence
+of the per-trial seed streams.
 """
 
 import numpy as np
@@ -15,10 +17,17 @@ from sfradar import (
     PulseShape,
     RadarConfig,
     RangeProfile,
+    SolverOptions,
     build_sensing_system,
     build_trm,
+    random_missing_schedule,
+    soft_threshold,
+    solve_least_squares,
 )
+from sfradar.echo import _unit_noise
+from sfradar.harness import child_seed, draw_synthetic_target
 from sfradar.model import WINDOWS
+from sfradar.sensing import _normal_matrix
 from sfradar.solvers import operator_norm_sq
 
 DELTA_F = 16e6
@@ -151,3 +160,111 @@ def test_structural_bound_exact_on_full_schedule(case):
     cfg, _, sys_ = case
     bound = structural_bound(cfg, sys_)
     assert operator_norm_sq(sys_) == pytest.approx(bound, rel=1e-10)
+
+
+@PROPERTY
+@given(systems())
+def test_row_gram_matches_dense(case):
+    _, _, sys_ = case
+    dense = sys_.phi @ sys_.phi.conj().T
+    scale = max(float(np.max(np.abs(dense))), np.finfo(float).tiny)
+    assert np.max(np.abs(sys_.row_gram() - dense)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(systems(full=True))
+def test_gram_blocks_are_the_fine_major_gram(case):
+    cfg, _, sys_ = case
+    n, l_bins = cfg.n_pulses, cfg.l_bins
+    # fine-major position n L + l holds cell l N + n
+    order = (np.arange(l_bins)[None, :] * n + np.arange(n)[:, None]).ravel()
+    gram = sys_.gram()[np.ix_(order, order)]
+    blocks = np.zeros_like(gram)
+    for i, block in enumerate(sys_.gram_blocks()):
+        blocks[i * l_bins:(i + 1) * l_bins, i * l_bins:(i + 1) * l_bins] = block
+    scale = max(float(np.max(np.abs(gram))), np.finfo(float).tiny)
+    assert np.max(np.abs(gram - blocks)) <= 1e-12 * scale
+
+
+def systems_of_form(form):
+    if form == "blocks":
+        return systems(full=True)
+    return systems(full=False).filter(lambda c: _normal_matrix(c[2])[0] == form)
+
+
+@pytest.mark.parametrize("form", ["blocks", "rows", "columns"])
+@PROPERTY
+@given(data=st.data())
+def test_least_squares_matches_dense_ridge_solution(form, data):
+    _, _, sys_ = data.draw(systems_of_form(form))
+    assert _normal_matrix(sys_)[0] == form
+    phi = sys_.phi
+    ridge = 1e-6 * np.linalg.norm(phi, 2) ** 2
+    gram = phi.conj().T @ phi + ridge * np.eye(sys_.n_cells)
+    dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
+    h = solve_least_squares(sys_, SolverOptions(ls_ridge=ridge)).h_est
+    assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+# -- the soft-threshold prox ----------------------------------------------------
+
+def complex_vector(seed, size=16):
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.01, 10.0)
+    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+def test_soft_threshold_is_firmly_non_expansive(seed_a, seed_b, t):
+    a, b = complex_vector(seed_a), complex_vector(seed_b)
+    da, db = soft_threshold(a, t), soft_threshold(b, t)
+    gap = np.linalg.norm(da - db)
+    assert gap <= np.linalg.norm(a - b) * (1 + 1e-12)
+    # firm non-expansiveness, which characterises a proximal map
+    assert np.vdot(da - db, a - b).real >= gap**2 - 1e-12 * np.linalg.norm(a - b) ** 2
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 3.0))
+def test_soft_threshold_minimises_the_prox_objective(seed, t):
+    # prox of t|.| at z: the minimiser of 0.5 |u - z|^2 + t |u|, which lies
+    # on the ray through z; scan that ray by brute force
+    z = complex_vector(seed, size=4)
+    u = soft_threshold(z, t)
+    radii = np.linspace(0.0, np.abs(z).max() + t, 100_001)
+    for zi, ui in zip(z, u):
+        ray = radii * np.exp(1j * np.angle(zi))
+        scan = 0.5 * np.abs(ray - zi) ** 2 + t * radii
+        best = 0.5 * abs(ui - zi) ** 2 + t * abs(ui)
+        assert best <= scan.min() + 1e-12 * (1 + abs(zi) ** 2)
+        assert abs(abs(ui) - radii[np.argmin(scan)]) <= radii[1]
+
+
+# -- per-trial seed streams -------------------------------------------------------
+
+@PROPERTY
+@given(st.integers(0, 2**63 - 1))
+def test_sweep_points_draw_independently(seed):
+    cfg = RadarConfig(
+        f_c=5e9, delta_f=DELTA_F, n_pulses=16, pulse_bandwidth=24e6, l_bins=3
+    )
+    sweep, trials, streams = (2, 5, 9), range(2), (1, 2, 3)
+    seeds = {
+        (missing, trial, stream): child_seed(seed, missing, trial, stream)
+        for missing in sweep for trial in trials for stream in streams
+    }
+    assert len(set(seeds.values())) == len(seeds)
+    draws = []
+    for missing in sweep:
+        for trial in trials:
+            target = draw_synthetic_target(cfg, 8, seeds[missing, trial, 1]).values
+            kept = random_missing_schedule(
+                cfg.n_pulses, missing, seeds[missing, trial, 2]
+            ).valid_indices
+            noise = _unit_noise(seeds[missing, trial, 3], kept, cfg.n_samples)
+            draws.append((target[target != 0], noise[:, 0]))
+    for i, (target_a, noise_a) in enumerate(draws):
+        for target_b, noise_b in draws[i + 1:]:
+            assert not np.isin(target_a, target_b).any()
+            assert not np.isin(noise_a, noise_b).any()

@@ -108,6 +108,35 @@ def test_operator_norm_sq_cached_on_system(cfg32, ideal_shape, monkeypatch):
     assert operator_norm_sq(sys_) == first
 
 
+@pytest.mark.parametrize("n_missing", [0, 20])
+def test_small_normal_forms_skip_the_column_gram(cfg32, ideal_shape, monkeypatch,
+                                                 n_missing):
+    # a full schedule uses the diagonal blocks, 20 missing (S*M < NL) Phi Phi^H
+    rng = np.random.default_rng(47)
+    _, _, sys_ = radar_system(cfg32, ideal_shape, n_missing, rng, 24)
+    exact = np.linalg.norm(sys_.phi, 2) ** 2
+
+    def no_gram(self):
+        raise AssertionError("NL x NL Gram matrix built")
+
+    monkeypatch.setattr(SensingSystem, "gram", no_gram)
+    assert operator_norm_sq(sys_) == pytest.approx(exact, rel=1e-10)
+    assert solve_least_squares(sys_).converged
+
+
+def test_row_gram_memory(cfg32, ideal_shape):
+    rng = np.random.default_rng(48)
+    _, _, sys_ = radar_system(cfg32, ideal_shape, 20, rng, 24)
+    tracemalloc.start()
+    try:
+        gram = sys_.row_gram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram.shape == (sys_.n_rows, sys_.n_rows)
+    assert peak < 1.5 * gram.nbytes
+
+
 # -- sparse recovery ----------------------------------------------------------
 
 def test_sparse_zero_observation():
