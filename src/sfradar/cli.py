@@ -16,29 +16,21 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .echo import (
-    NoiseModel,
-    PulseSchedule,
-    RangeProfile,
-    build_trm,
-    random_missing_schedule,
-)
+from .echo import PulseSchedule
 from .harness import (
     ExperimentSpec,
-    FileTarget,
     METHODS,
-    child_seed,
-    draw_synthetic_target,
+    draw_trial,
     load_experiment_spec,
     run_experiment,
     selftest,
+    solve_method,
     write_trials_csv,
 )
-from .io import export_profile, load_profile_csv, load_trm_file
+from .io import export_profile, load_trm_file
 from .metrics import similarity
 from .model import ConfigError, range_axis
 from .sensing import build_sensing_system
-from .solvers import solve_least_squares, solve_sparse_l1, solve_stretch_idft
 
 
 def _with_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -55,35 +47,12 @@ def _outdir(args) -> str:
     return out
 
 
-def _solve(method, sys, trm, spec):
-    if method == "sparse_l1":
-        return solve_sparse_l1(sys, spec.solver_opts)
-    if method == "least_squares":
-        return solve_least_squares(sys, spec.solver_opts)
-    return solve_stretch_idft(trm, spec.radar, spec.shape)
-
-
 def cmd_simulate(args) -> int:
     spec = _with_overrides(load_experiment_spec(args.config), args)
-    cfg, shape = spec.radar, spec.shape
-    missing = spec.sweep[0]
-    snr = spec.snr_list[0]
+    cfg = spec.radar
+    missing, snr = spec.sweep[0], spec.snr_list[0]
     out = _outdir(args)
-
-    if isinstance(spec.target, FileTarget):
-        truth = RangeProfile(load_profile_csv(spec.target.path), cfg)
-    else:
-        truth = draw_synthetic_target(
-            cfg, spec.target.n_scatterers, child_seed(spec.seed, missing, 0, 1)
-        )
-    schedule = random_missing_schedule(
-        cfg.n_pulses, missing, child_seed(spec.seed, missing, 0, 2)
-    )
-    noise = None
-    if snr is not None:
-        noise = NoiseModel(snr_db=snr, seed=child_seed(spec.seed, missing, 0, 3))
-    trm = build_trm(truth, schedule, shape, noise)
-    sys_ = build_sensing_system(cfg, shape, schedule, trm)
+    truth, trm, sys_ = draw_trial(spec, missing, snr, 0)
     axis = range_axis(cfg)
 
     export_profile(truth, axis, os.path.join(out, "truth_profile.csv"))
@@ -92,7 +61,7 @@ def cmd_simulate(args) -> int:
         f"snr_db={snr} seed={spec.seed}"
     )
     for method in spec.solvers:
-        result = _solve(method, sys_, trm, spec)
+        result = solve_method(spec, method, sys_, trm)
         report = similarity(truth.values, result.h_est)
         dest = os.path.join(out, f"profile_{method}.csv")
         export_profile(result, axis, dest)
@@ -138,7 +107,7 @@ def cmd_recover(args) -> int:
     axis = range_axis(cfg)
     methods = spec.solvers if args.method else (spec.solvers[0],)
     for method in methods:
-        result = _solve(method, sys_, trm, spec)
+        result = solve_method(spec, method, sys_, trm)
         dest = os.path.join(out, f"recovered_{method}.csv")
         export_profile(result, axis, dest)
         print(

@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .metrics import similarity
 from .model import ConfigError, PulseShape, RadarConfig
 from .sensing import build_sensing_system
 from .solvers import (
+    RecoveryResult,
     SolverOptions,
     solve_least_squares,
     solve_sparse_l1,
@@ -89,6 +90,12 @@ class ExperimentSpec:
         for snr in self.snr_list:
             if snr is not None and not math.isfinite(snr):
                 raise ConfigError(f"snr_db must be finite, got {snr}")
+        if (isinstance(self.target, SyntheticSparse)
+                and self.target.n_scatterers > self.radar.n_cells):
+            raise ConfigError(
+                f"cannot place {self.target.n_scatterers} scatterers in "
+                f"{self.radar.n_cells} cells"
+            )
         solvers = tuple(self.solvers)
         object.__setattr__(self, "solvers", solvers)
         if not solvers:
@@ -145,10 +152,18 @@ def draw_synthetic_target(cfg: RadarConfig, n_scatterers: int, seed: int) -> Ran
     return RangeProfile(values, cfg)
 
 
-def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
-               file_values: np.ndarray | None) -> list:
+def draw_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
+               file_values: np.ndarray | None = None) -> tuple:
+    """(truth, TRM, sensing system) of one trial of the spec.
+
+    The target, pulse schedule and noise come from child_seed streams 1, 2
+    and 3 of (spec.seed, missing_count, trial). A file target uses
+    file_values, loading the file when they are not given.
+    """
     cfg, shape = spec.radar, spec.shape
-    if file_values is not None:
+    if isinstance(spec.target, FileTarget):
+        if file_values is None:
+            file_values = load_profile_csv(spec.target.path)
         truth = RangeProfile(file_values, cfg)
     else:
         truth = draw_synthetic_target(
@@ -164,18 +179,26 @@ def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
             snr_db=snr_db, seed=child_seed(spec.seed, missing_count, trial, 3)
         )
     trm = build_trm(truth, schedule, shape, noise)
-    sys = build_sensing_system(cfg, shape, schedule, trm)
+    return truth, trm, build_sensing_system(cfg, shape, schedule, trm)
 
+
+def solve_method(spec: ExperimentSpec, method: str, sys, trm) -> RecoveryResult:
+    """Run one of METHODS with the spec's solver options on one trial."""
+    if method == "sparse_l1":
+        return solve_sparse_l1(sys, spec.solver_opts)
+    if method == "least_squares":
+        return solve_least_squares(sys, spec.solver_opts)
+    return solve_stretch_idft(trm, spec.radar, spec.shape)
+
+
+def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
+               file_values: np.ndarray | None) -> list:
+    truth, trm, sys = draw_trial(spec, missing_count, snr_db, trial, file_values)
     trial_seed = child_seed(spec.seed, missing_count, trial, 0)
     records = []
     for method in spec.solvers:
         start = time.perf_counter()
-        if method == "sparse_l1":
-            result = solve_sparse_l1(sys, spec.solver_opts)
-        elif method == "least_squares":
-            result = solve_least_squares(sys, spec.solver_opts)
-        else:
-            result = solve_stretch_idft(trm, cfg, shape)
+        result = solve_method(spec, method, sys, trm)
         wall = time.perf_counter() - start
         report = similarity(truth.values, result.h_est)
         records.append(
@@ -284,10 +307,7 @@ _SECTION_KEYS = {
     "experiment": {
         "sweep", "snr_db", "trials_per_point", "seed", "solvers", "valid_pulses",
     },
-    "solver": {
-        "max_iters", "rel_change_tol", "epsilon", "epsilon_factor",
-        "lambda_path_steps", "lambda_ratio", "ls_ridge", "accelerate",
-    },
+    "solver": {f.name for f in fields(SolverOptions)},
 }
 _REQUIRED = {
     "radar": {"f_c", "delta_f", "n_pulses", "pulse_bandwidth", "l_bins"},
@@ -384,27 +404,19 @@ def load_experiment_spec(path) -> ExperimentSpec:
         values = _parse_list(raw_snr, float)
         snr_db = values[0] if len(values) == 1 else values
 
-    opts = SolverOptions()
+    kwargs = {}
     if "solver" in cp:
         s = cp["solver"]
-        kwargs = {}
-        if "max_iters" in s:
-            kwargs["max_iters"] = s.getint("max_iters")
-        if "rel_change_tol" in s:
-            kwargs["rel_change_tol"] = s.getfloat("rel_change_tol")
-        if "epsilon" in s:
-            kwargs["epsilon"] = s.getfloat("epsilon")
-        if "epsilon_factor" in s:
-            kwargs["epsilon_factor"] = s.getfloat("epsilon_factor")
-        if "lambda_path_steps" in s:
-            kwargs["lambda_path_steps"] = s.getint("lambda_path_steps")
-        if "lambda_ratio" in s:
-            kwargs["lambda_ratio"] = s.getfloat("lambda_ratio")
-        if "ls_ridge" in s:
-            kwargs["ls_ridge"] = s.getfloat("ls_ridge")
-        if "accelerate" in s:
-            kwargs["accelerate"] = s.getboolean("accelerate")
-        opts = SolverOptions(**kwargs)
+        for f in fields(SolverOptions):
+            if f.name in s:
+                # bool is an int, so it is checked first; a None default is a float
+                if isinstance(f.default, bool):
+                    kwargs[f.name] = s.getboolean(f.name)
+                elif isinstance(f.default, int):
+                    kwargs[f.name] = s.getint(f.name)
+                else:
+                    kwargs[f.name] = s.getfloat(f.name)
+    opts = SolverOptions(**kwargs)
 
     return ExperimentSpec(
         radar=radar,

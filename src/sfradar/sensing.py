@@ -33,26 +33,18 @@ class SensingSystem:
     (pulse index, sample index) of every row so the ordering is
     reproducible downstream.
 
-    A system from build_sensing_system is matrix-free: it keeps the shape
-    matrix E (envelopes, S x NL), the valid pulse indices and N, and
-    applies Phi and Phi^H by fold-and-FFT. Row s*M + m of Phi is
-    E[s] * P[m], with P[m, p] = exp(-j 2 pi pulses[m] p / N). A system
-    built from a bare matrix (phi=...) applies that matrix instead.
+    The system is matrix-free: it keeps the shape matrix E (envelopes,
+    S x NL), the valid pulse indices and N, and applies Phi and Phi^H by
+    fold-and-FFT. Row s*M + m of Phi is E[s] * P[m], with
+    P[m, p] = exp(-j 2 pi pulses[m] p / N).
     """
 
-    def __init__(self, y, noise_sigma, underdetermined, row_keys=None,
-                 phi=None, envelopes=None, pulses=None, n_pulses=None):
-        if (phi is None) == (envelopes is None):
-            raise ValueError("give either phi or envelopes, pulses and n_pulses")
+    def __init__(self, y, noise_sigma, envelopes, pulses, n_pulses):
         self.y = y
         self.noise_sigma = noise_sigma
-        self.underdetermined = underdetermined
         self.envelopes = envelopes
-        self._dense = phi
-        self._row_keys = row_keys
-        if phi is None:
-            self.pulses = np.asarray(pulses, dtype=np.intp)
-            self.n_pulses = n_pulses
+        self.pulses = np.asarray(pulses, dtype=np.intp)
+        self.n_pulses = n_pulses
 
     @property
     def n_rows(self) -> int:
@@ -60,19 +52,18 @@ class SensingSystem:
 
     @property
     def n_cells(self) -> int:
-        if self._dense is not None:
-            return self._dense.shape[1]
         return self.envelopes.shape[1]
 
     @property
+    def underdetermined(self) -> bool:
+        return self.n_rows < self.n_cells
+
+    @cached_property
     def row_keys(self) -> tuple:
-        if self._row_keys is None:
-            m_count = self.pulses.size
-            self._row_keys = tuple(
-                (int(self.pulses[i % m_count]), i // m_count)
-                for i in range(self.n_rows)
-            )
-        return self._row_keys
+        m_count = self.pulses.size
+        return tuple(
+            (int(self.pulses[i % m_count]), i // m_count) for i in range(self.n_rows)
+        )
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -80,8 +71,6 @@ class SensingSystem:
 
         No solver touches it; at N=128, L=32 it would need about 400 MB.
         """
-        if self._dense is not None:
-            return self._dense
         cells = np.arange(self.n_cells, dtype=float)
         pulses = self.pulses.astype(float)[:, None]
         phases = np.exp(-2j * np.pi * pulses * cells / self.n_pulses)
@@ -93,14 +82,11 @@ class SensingSystem:
         return _shape_stack(self.envelopes, self.n_pulses)
 
     def all_finite(self) -> bool:
-        """Whether y and the operator (its factors, or phi) are all finite."""
-        op = self.envelopes if self._dense is None else self._dense
-        return bool(np.all(np.isfinite(op)) and np.all(np.isfinite(self.y)))
+        """Whether y and the shape matrix, hence the operator, are all finite."""
+        return bool(np.all(np.isfinite(self.envelopes)) and np.all(np.isfinite(self.y)))
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """Phi h, sample-major like y."""
-        if self._dense is not None:
-            return self._dense @ h
         return _fold_fft(self._stack, h, self.pulses).ravel(order="F")
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
@@ -109,10 +95,7 @@ class SensingSystem:
         Scatters v onto the valid pulses of a full (N x S) pulse grid, runs
         an unscaled inverse FFT over the pulses, and weights each sample by
         its shape: one real (L x S) by (S x 2) product per fine index.
-        A bare matrix is used as stored, conjugating only v.
         """
-        if self._dense is not None:
-            return (v.conj() @ self._dense).conj()
         n_pulses, s_count, l_bins = self._stack.shape
         grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
         grid[self.pulses] = v.reshape(s_count, -1).T
@@ -130,8 +113,6 @@ class SensingSystem:
         N x N block tiled over the coarse bins. E^T E is folded in a block
         of columns at a time, so the only NL x NL array is the result.
         """
-        if self._dense is not None:
-            return self._dense.conj().T @ self._dense
         n = self.n_pulses
         mask = np.zeros(n)
         mask[self.pulses] = 1.0
@@ -167,8 +148,6 @@ class SensingSystem:
         straight into the final (S, M, S, M) layout, so the only other
         array of note is B (N x S x S).
         """
-        if self._dense is not None:
-            return self._dense @ self._dense.conj().T
         stack = self._stack
         b = np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0)
         k = (self.pulses[:, None] - self.pulses[None, :]) % self.n_pulses
@@ -195,11 +174,11 @@ def _normal_matrix(sys: SensingSystem) -> tuple:
 
     "blocks" on a full schedule: the N diagonal L x L blocks of Phi^H Phi
     (gram_blocks). "rows" when S*M < NL: Phi Phi^H (row_gram). "columns"
-    otherwise: Phi^H Phi (gram). A bare matrix never takes "blocks".
+    otherwise: Phi^H Phi (gram).
     """
-    if sys._dense is None and sys.pulses.size == sys.n_pulses:
+    if sys.pulses.size == sys.n_pulses:
         return "blocks", sys.gram_blocks()
-    if sys.n_rows < sys.n_cells:
+    if sys.underdetermined:
         return "rows", sys.row_gram()
     return "columns", sys.gram()
 
@@ -274,7 +253,6 @@ def build_sensing_system(
     return SensingSystem(
         y=trm.data.flatten(order="F"),
         noise_sigma=trm.noise_sigma,
-        underdetermined=m_count * s_count < cfg.n_cells,
         envelopes=_shape_matrix(cfg, shape, instants),
         pulses=schedule.valid_indices,
         n_pulses=cfg.n_pulses,

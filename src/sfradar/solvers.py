@@ -96,18 +96,15 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return z * scale
 
 
-def operator_norm_sq(op: SensingSystem | np.ndarray) -> float:
-    """Largest squared singular value of a sensing system or a bare matrix.
+def operator_norm_sq(op: SensingSystem) -> float:
+    """Largest squared singular value of a sensing system's Phi.
 
-    Exact to roundoff: the top eigenvalue of a normal matrix of phi. A
-    system takes its smallest exact one (diagonal blocks of phi^H phi on a
-    full schedule, phi phi^H when it has fewer rows than cells, phi^H phi
-    otherwise), computes the value once and keeps it, so later calls on
-    the same system cost nothing. A bare matrix uses phi^H phi.
+    Exact to roundoff: the top eigenvalue of the system's smallest exact
+    normal matrix (diagonal blocks of Phi^H Phi on a full schedule,
+    Phi Phi^H when it has fewer rows than cells, Phi^H Phi otherwise),
+    computed once and kept, so later calls on the same system cost nothing.
     """
-    if isinstance(op, SensingSystem):
-        return op.norm_sq
-    return float(np.linalg.eigvalsh(op.conj().T @ op)[-1])
+    return op.norm_sq
 
 
 def prox_gradient_l1(

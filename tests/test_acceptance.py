@@ -163,7 +163,7 @@ def test_criterion_5_solver_contracts(cfg, shape, verdict):
     sparse = solve_sparse_l1(sys_)
     ok_sparse = sparse.converged and sparse.residual_l2 <= 1.001 * sparse.epsilon_used
 
-    opts = SolverOptions(ls_ridge=1e-6 * operator_norm_sq(sys_.phi))
+    opts = SolverOptions(ls_ridge=1e-6 * operator_norm_sq(sys_))
     ls = solve_least_squares(sys_, opts)
     gram = sys_.phi.conj().T @ sys_.phi + opts.ls_ridge * np.eye(sys_.n_cells)
     rhs = sys_.phi.conj().T @ sys_.y

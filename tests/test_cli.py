@@ -6,10 +6,14 @@ from sfradar import (
     RadarConfig,
     build_trm,
     draw_synthetic_target,
+    load_experiment_spec,
     load_profile_csv,
+    run_experiment,
+    similarity,
     write_trm_file,
 )
 from sfradar.cli import main
+from sfradar.harness import METHODS, child_seed
 from sfradar.model import PulseShape
 
 CONFIG = """
@@ -67,6 +71,33 @@ def test_simulate_method_override(tmp_path, config_path):
     assert rc == 0
     assert (out / "profile_stretch_idft.csv").exists()
     assert not (out / "profile_sparse_l1.csv").exists()
+
+
+def test_simulate_is_trial_zero_of_the_sweep(tmp_path, capsys):
+    # simulate runs trial 0 of the first sweep point and SNR, with the
+    # target, schedule and noise the sweep draws for that trial
+    config = CONFIG.replace("sweep = 0, 5", "sweep = 5, 0").replace(
+        "solvers = sparse_l1, least_squares", "solvers = " + ", ".join(METHODS)
+    )
+    path = tmp_path / "exp.cfg"
+    path.write_text(config)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+
+    spec = load_experiment_spec(path)
+    truth = load_profile_csv(out / "truth_profile.csv")
+    want = draw_synthetic_target(spec.radar, 4, child_seed(9, 5, 0, 1)).values
+    assert np.allclose(truth, want, rtol=1e-7, atol=1e-12)
+    records = [r for r in run_experiment(spec, workers=1)
+               if r.missing_count == 5 and r.trial == 0]
+    assert sorted(r.method for r in records) == sorted(METHODS)
+    for rec in records:
+        estimate = load_profile_csv(out / f"profile_{rec.method}.csv")
+        assert similarity(truth, estimate).similarity == pytest.approx(
+            rec.similarity, abs=1e-6
+        )
+        assert f"{rec.method}: similarity={rec.similarity:.4f}" in printed
 
 
 def test_sweep_writes_deterministic_csv(tmp_path, config_path, capsys):

@@ -1,3 +1,6 @@
+import os
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from sfradar import (
     ExperimentSpec,
     FileTarget,
     PulseShape,
+    RadarConfig,
+    SolverOptions,
     SyntheticSparse,
     draw_synthetic_target,
     export_profile,
@@ -14,7 +19,13 @@ from sfradar import (
     run_experiment,
     write_trials_csv,
 )
-from sfradar.harness import child_seed, format_trial_row, selftest
+from sfradar.harness import (
+    METHODS,
+    TRIALS_CSV_HEADER,
+    child_seed,
+    format_trial_row,
+    selftest,
+)
 
 
 @pytest.fixture
@@ -143,6 +154,32 @@ def test_run_experiment_file_target(tmp_path, small_cfg):
     assert all(r.similarity >= 0.999 for r in records)
 
 
+# Written by write_trials_csv(run_experiment(GOLDEN_SPEC), path); rewrite it
+# only for an intended numeric change, and say by how much the rows moved.
+GOLDEN_CSV = os.path.join(os.path.dirname(__file__), "data", "trials_n16_l4.csv")
+GOLDEN_SPEC = ExperimentSpec(
+    radar=RadarConfig(f_c=5.0e9, delta_f=16e6, n_pulses=16, pulse_bandwidth=24e6, l_bins=4),
+    target=SyntheticSparse(5), sweep=(0, 4, 8), snr_db=(None, 15.0),
+    trials_per_point=2, seed=2024, solvers=METHODS,
+)
+FLOAT_COLUMNS = {"similarity", "rel_l2_error", "residual_l2"}
+
+
+def test_trials_match_golden_records():
+    with open(GOLDEN_CSV, encoding="ascii") as f:
+        header, *want = [line.split(",") for line in f.read().splitlines()]
+    assert header == TRIALS_CSV_HEADER.split(",")
+    got = [format_trial_row(r).split(",") for r in run_experiment(GOLDEN_SPEC, workers=1)]
+    assert len(got) == len(want) == 36
+    for row_got, row_want in zip(got, want):
+        # every column but the last, wall_time_s
+        for name, a, b in zip(header[:-1], row_got, row_want):
+            if name in FLOAT_COLUMNS:
+                assert float(a) == pytest.approx(float(b), rel=1e-8), (name, row_want)
+            else:
+                assert a == b, (name, row_want)
+
+
 def test_trials_csv_round_shape(tmp_path, tiny_spec):
     records = run_experiment(tiny_spec, workers=1)
     dest = tmp_path / "trials.csv"
@@ -165,6 +202,13 @@ def test_spec_validation(small_cfg):
         SyntheticSparse(0)
     with pytest.raises(ConfigError):
         ExperimentSpec(radar=small_cfg, snr_db=(15.0, float("nan")))
+
+
+def test_spec_rejects_more_scatterers_than_cells(small_cfg):
+    # rejected when the spec is built, not by the first trial's draw
+    with pytest.raises(ConfigError, match="scatterers"):
+        ExperimentSpec(radar=small_cfg, target=SyntheticSparse(small_cfg.n_cells + 1))
+    ExperimentSpec(radar=small_cfg, target=SyntheticSparse(small_cfg.n_cells))
 
 
 GOOD_CONFIG = """
@@ -214,6 +258,33 @@ def test_load_experiment_spec_unknown_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_experiment_spec(path)
     assert "sede" in str(err.value)
+
+
+SOLVER_SECTION = "[solver]\nmax_iters = 4000\nlambda_path_steps = 8\n"
+# a value other than the default for every SolverOptions field
+NON_DEFAULT_OPTIONS = dict(
+    max_iters=1234, rel_change_tol=2.5e-7, epsilon=0.125, epsilon_factor=1.75,
+    lambda_path_steps=5, lambda_ratio=0.25, ls_ridge=3e-9, accelerate=False,
+)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SolverOptions)])
+def test_load_experiment_spec_solver_option_round_trip(tmp_path, name):
+    value = NON_DEFAULT_OPTIONS[name]
+    assert value != getattr(SolverOptions(), name)
+    text = str(value).lower() if isinstance(value, bool) else repr(value)
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOOD_CONFIG.replace(SOLVER_SECTION, f"[solver]\n{name} = {text}\n"))
+    opts = load_experiment_spec(path).solver_opts
+    assert opts == replace(SolverOptions(), **{name: value})
+    assert type(getattr(opts, name)) is type(value)
+
+
+def test_load_experiment_spec_unknown_solver_key(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOOD_CONFIG.replace(SOLVER_SECTION, SOLVER_SECTION + "lambda_steps = 3\n"))
+    with pytest.raises(ConfigError, match="lambda_steps"):
+        load_experiment_spec(path)
 
 
 def test_load_experiment_spec_unknown_section(tmp_path):

@@ -22,18 +22,25 @@ from sfradar.solvers import operator_norm_sq, prox_gradient_l1
 from conftest import sparse_profile
 
 
-def random_system(m, n, rng, k=5, noise=0.0):
-    phi = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    phi /= np.sqrt(2 * m)
+def with_y(sys_, y):
+    """The same operator as sys_ observing y."""
+    return SensingSystem(y, sys_.noise_sigma, sys_.envelopes, sys_.pulses, sys_.n_pulses)
+
+
+def random_system(s_count, n_pulses, l_bins, m_count, rng, k=5, noise=0.0):
+    """A k-sparse x and a system observing it: a random real shape matrix
+    (s_count x n_pulses * l_bins) on a random subset of m_count pulses."""
+    n = n_pulses * l_bins
+    rows = s_count * m_count
+    envelopes = rng.standard_normal((s_count, n)) / np.sqrt(rows)
+    pulses = np.sort(rng.choice(n_pulses, m_count, replace=False))
     x = np.zeros(n, dtype=complex)
     x[rng.choice(n, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    y = phi @ x
+    sys_ = SensingSystem(np.zeros(rows, dtype=complex), noise, envelopes, pulses, n_pulses)
+    y = sys_.apply(x)
     if noise:
-        y = y + noise * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    keys = tuple((0, i) for i in range(m))
-    return x, SensingSystem(
-        phi=phi, y=y, row_keys=keys, noise_sigma=noise, underdetermined=m < n
-    )
+        y = y + noise * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+    return x, with_y(sys_, y)
 
 
 def radar_system(cfg, shape, n_missing, rng, n_scatterers, noise=None, seed=0):
@@ -87,14 +94,6 @@ def test_soft_threshold_phase_ray_is_optimal():
 
 # -- operator norm ------------------------------------------------------------
 
-def test_operator_norm_sq_matches_svd():
-    rng = np.random.default_rng(33)
-    for m, n in ((40, 60), (60, 40), (30, 30)):
-        phi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        exact = np.linalg.norm(phi, 2) ** 2
-        assert operator_norm_sq(phi) == pytest.approx(exact, rel=1e-10)
-
-
 def test_operator_norm_sq_cached_on_system(cfg32, ideal_shape, monkeypatch):
     rng = np.random.default_rng(44)
     _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
@@ -141,11 +140,8 @@ def test_row_gram_memory(cfg32, ideal_shape):
 
 def test_sparse_zero_observation():
     rng = np.random.default_rng(34)
-    _, sys_ = random_system(20, 30, rng)
-    sys_zero = SensingSystem(
-        phi=sys_.phi, y=np.zeros(20, dtype=complex), row_keys=sys_.row_keys,
-        noise_sigma=0.0, underdetermined=True,
-    )
+    _, sys_ = random_system(4, 10, 3, 5, rng)  # 20 rows, 30 cells
+    sys_zero = with_y(sys_, np.zeros(20, dtype=complex))
     rec = solve_sparse_l1(sys_zero, SolverOptions(epsilon=0.0))
     assert np.all(rec.h_est == 0)
     assert rec.residual_l2 == 0.0
@@ -186,7 +182,7 @@ def test_sparse_converged_meets_budget(cfg32, ideal_shape):
 def test_sparse_infeasible_budget_returns_best_iterate():
     # inconsistent overdetermined system: no estimate reaches a zero residual
     rng = np.random.default_rng(36)
-    _, sys_ = random_system(40, 10, rng, k=3, noise=0.1)
+    _, sys_ = random_system(8, 5, 2, 5, rng, k=3, noise=0.1)  # 40 rows, 10 cells
     rec = solve_sparse_l1(sys_, SolverOptions(epsilon=1e-12, lambda_path_steps=4))
     assert not rec.converged
     assert rec.h_est.shape == (10,)
@@ -195,12 +191,12 @@ def test_sparse_infeasible_budget_returns_best_iterate():
 
 
 def test_sparse_orthogonal_observation_degenerate():
-    # y exactly orthogonal to the operator range: correlations vanish
-    phi = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    y = np.array([0.0, 0.0, 1.0], dtype=complex)
-    sys_ = SensingSystem(
-        phi=phi, y=y, row_keys=((0, 0),) * 3, noise_sigma=0.0, underdetermined=False
-    )
+    # y exactly orthogonal to the operator range: sample 1 has an all-zero
+    # shape row and y lives only on its rows, so correlations vanish
+    envelopes = np.array([[1.0, 0.5, -0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
+    y = np.array([0.0, 0.0, 0.6, 0.8j], dtype=complex)
+    sys_ = SensingSystem(y, 0.0, envelopes, pulses=(0, 1), n_pulses=2)
+    assert np.all(sys_.adjoint(y) == 0)
     rec = solve_sparse_l1(sys_, SolverOptions(epsilon=0.5))
     assert np.all(rec.h_est == 0)
     assert not rec.converged  # ||y|| = 1 > 0.5, yet nothing can reduce it
@@ -209,11 +205,8 @@ def test_sparse_orthogonal_observation_degenerate():
 
 def test_sparse_rejects_non_finite():
     rng = np.random.default_rng(38)
-    _, sys_ = random_system(10, 15, rng)
-    bad = SensingSystem(
-        phi=sys_.phi, y=sys_.y.copy(), row_keys=sys_.row_keys,
-        noise_sigma=0.0, underdetermined=True,
-    )
+    _, sys_ = random_system(2, 5, 3, 5, rng)  # 10 rows, 15 cells
+    bad = with_y(sys_, sys_.y.copy())
     bad.y[0] = np.nan
     with pytest.raises(ValueError):
         solve_sparse_l1(bad)
@@ -221,7 +214,7 @@ def test_sparse_rejects_non_finite():
 
 def test_prox_gradient_objective_monotone_without_acceleration():
     rng = np.random.default_rng(39)
-    x_true, sys_ = random_system(30, 45, rng, k=4)
+    x_true, sys_ = random_system(6, 9, 5, 5, rng, k=4)  # 30 rows, 45 cells
     lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
     step = 1.0 / (1.01 * np.linalg.norm(sys_.phi, 2) ** 2)
     _, _, history = prox_gradient_l1(
@@ -236,7 +229,7 @@ def test_prox_gradient_objective_monotone_without_acceleration():
 def test_prox_gradient_fixed_point_optimality():
     # at the minimizer, the support gradient balances the shrinkage force
     rng = np.random.default_rng(40)
-    _, sys_ = random_system(48, 64, rng, k=5)
+    _, sys_ = random_system(6, 16, 4, 8, rng, k=5)  # 48 rows, 64 cells
     lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
     step = 1.0 / (1.01 * np.linalg.norm(sys_.phi, 2) ** 2)
     x, _ = prox_gradient_l1(
@@ -279,11 +272,8 @@ def test_solvers_never_build_the_dense_operator(cfg32, ideal_shape):
 
 def test_ls_zero_observation():
     rng = np.random.default_rng(41)
-    _, sys_ = random_system(20, 10, rng)
-    sys_zero = SensingSystem(
-        phi=sys_.phi, y=np.zeros(20, dtype=complex), row_keys=sys_.row_keys,
-        noise_sigma=0.0, underdetermined=False,
-    )
+    _, sys_ = random_system(4, 5, 2, 5, rng)  # 20 rows, 10 cells
+    sys_zero = with_y(sys_, np.zeros(20, dtype=complex))
     rec = solve_least_squares(sys_zero)
     assert np.allclose(rec.h_est, 0)
     assert rec.converged
@@ -307,7 +297,7 @@ def test_ls_satisfies_normal_equations(cfg32, ideal_shape):
     _, _, sys_ = radar_system(
         cfg32, ideal_shape, 12, rng, 24, noise=NoiseModel(snr_db=15.0, seed=2)
     )
-    opts = SolverOptions(ls_ridge=1e-6 * operator_norm_sq(sys_.phi))
+    opts = SolverOptions(ls_ridge=1e-6 * operator_norm_sq(sys_))
     rec = solve_least_squares(sys_, opts)
     gram = sys_.phi.conj().T @ sys_.phi + opts.ls_ridge * np.eye(sys_.n_cells)
     rhs = sys_.phi.conj().T @ sys_.y
@@ -317,14 +307,11 @@ def test_ls_satisfies_normal_equations(cfg32, ideal_shape):
 
 def test_ls_scaling_equivariance():
     rng = np.random.default_rng(44)
-    _, sys_ = random_system(30, 20, rng, noise=0.05)
+    _, sys_ = random_system(6, 5, 4, 5, rng, noise=0.05)  # 30 rows, 20 cells
     alpha = 2.5 - 1.25j
     opts = SolverOptions(ls_ridge=1e-4)
     base = solve_least_squares(sys_, opts)
-    scaled_sys = SensingSystem(
-        phi=sys_.phi, y=alpha * sys_.y, row_keys=sys_.row_keys,
-        noise_sigma=sys_.noise_sigma, underdetermined=sys_.underdetermined,
-    )
+    scaled_sys = with_y(sys_, alpha * sys_.y)
     scaled = solve_least_squares(scaled_sys, opts)
     assert np.allclose(scaled.h_est, alpha * base.h_est, rtol=1e-10, atol=1e-14)
 
@@ -447,7 +434,7 @@ def test_solver_options_validation(kwargs):
 
 def test_epsilon_from_noise_level():
     rng = np.random.default_rng(50)
-    _, sys_ = random_system(25, 40, rng, noise=0.3)
+    _, sys_ = random_system(5, 8, 5, 5, rng, noise=0.3)  # 25 rows, 40 cells
     opts = SolverOptions()
     assert opts.resolve_epsilon(sys_) == pytest.approx(1.1 * 0.3 * np.sqrt(25))
     explicit = SolverOptions(epsilon=0.123)
