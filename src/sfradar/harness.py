@@ -57,7 +57,10 @@ class SyntheticSparse:
 
 @dataclass(frozen=True)
 class FileTarget:
-    """Truth profile loaded from a profile CSV (fixed across trials)."""
+    """Truth profile loaded from a profile CSV (fixed across trials).
+
+    The ExperimentSpec that holds it loads the file once, when it is built.
+    """
 
     path: str
 
@@ -90,8 +93,13 @@ class ExperimentSpec:
         for snr in self.snr_list:
             if snr is not None and not math.isfinite(snr):
                 raise ConfigError(f"snr_db must be finite, got {snr}")
-        if (isinstance(self.target, SyntheticSparse)
-                and self.target.n_scatterers > self.radar.n_cells):
+        if isinstance(self.target, FileTarget):
+            try:
+                truth = RangeProfile(load_profile_csv(self.target.path), self.radar)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"target file {self.target.path}: {exc}") from exc
+            object.__setattr__(self, "_file_truth", truth)
+        elif self.target.n_scatterers > self.radar.n_cells:
             raise ConfigError(
                 f"cannot place {self.target.n_scatterers} scatterers in "
                 f"{self.radar.n_cells} cells"
@@ -152,19 +160,16 @@ def draw_synthetic_target(cfg: RadarConfig, n_scatterers: int, seed: int) -> Ran
     return RangeProfile(values, cfg)
 
 
-def draw_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
-               file_values: np.ndarray | None = None) -> tuple:
+def draw_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> tuple:
     """(truth, TRM, sensing system) of one trial of the spec.
 
     The target, pulse schedule and noise come from child_seed streams 1, 2
-    and 3 of (spec.seed, missing_count, trial). A file target uses
-    file_values, loading the file when they are not given.
+    and 3 of (spec.seed, missing_count, trial). A file target is the
+    profile the spec loaded when it was built.
     """
     cfg, shape = spec.radar, spec.shape
     if isinstance(spec.target, FileTarget):
-        if file_values is None:
-            file_values = load_profile_csv(spec.target.path)
-        truth = RangeProfile(file_values, cfg)
+        truth = spec._file_truth
     else:
         truth = draw_synthetic_target(
             cfg, spec.target.n_scatterers,
@@ -191,9 +196,8 @@ def solve_method(spec: ExperimentSpec, method: str, sys, trm) -> RecoveryResult:
     return solve_stretch_idft(trm, spec.radar, spec.shape)
 
 
-def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int,
-               file_values: np.ndarray | None) -> list:
-    truth, trm, sys = draw_trial(spec, missing_count, snr_db, trial, file_values)
+def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> list:
+    truth, trm, sys = draw_trial(spec, missing_count, snr_db, trial)
     trial_seed = child_seed(spec.seed, missing_count, trial, 0)
     records = []
     for method in spec.solvers:
@@ -238,10 +242,6 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     the SFR_THREADS environment variable asks for a thread pool (0 = one
     worker per CPU); records are identical across worker counts.
     """
-    file_values = None
-    if isinstance(spec.target, FileTarget):
-        file_values = load_profile_csv(spec.target.path)
-
     jobs = [
         (missing, snr, trial)
         for missing in spec.sweep
@@ -250,17 +250,10 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     ]
     n_workers = _worker_count(workers)
     if n_workers == 1 or len(jobs) <= 1:
-        batches = [
-            _run_trial(spec, missing, snr, trial, file_values)
-            for missing, snr, trial in jobs
-        ]
+        batches = [_run_trial(spec, *job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            batches = list(
-                pool.map(
-                    lambda job: _run_trial(spec, *job, file_values), jobs
-                )
-            )
+            batches = list(pool.map(lambda job: _run_trial(spec, *job), jobs))
     records = [rec for batch in batches for rec in batch]
     records.sort(
         key=lambda r: (

@@ -90,19 +90,8 @@ class SensingSystem:
         return _fold_fft(self._stack, h, self.pulses).ravel(order="F")
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
-        """Phi^H v.
-
-        Scatters v onto the valid pulses of a full (N x S) pulse grid, runs
-        an unscaled inverse FFT over the pulses, and weights each sample by
-        its shape: one real (L x S) by (S x 2) product per fine index.
-        """
-        n_pulses, s_count, l_bins = self._stack.shape
-        grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
-        grid[self.pulses] = v.reshape(s_count, -1).T
-        grid = np.fft.ifft(grid, axis=0, norm="forward")
-        w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
-        g = (self._stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
-        return g.T.ravel()
+        """Phi^H v."""
+        return _fold_ifft(self._stack, v, self.pulses)
 
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
@@ -126,15 +115,14 @@ class SensingSystem:
         return g
 
     def gram_blocks(self) -> np.ndarray:
-        """Phi^H Phi of a full schedule as its N diagonal L x L blocks.
+        """Phi^H Phi of the full pulse train as its N diagonal L x L blocks.
 
         With every pulse present P^H P is N times the identity over the
-        fine index, so Phi^H Phi only couples cells with the same
-        n = p mod N: block n is N stack[n]^T stack[n], over the coarse bins
-        l of the cells p = lN + n.
+        fine index, so the full train's Phi^H Phi only couples cells with
+        the same n = p mod N: block n is N stack[n]^T stack[n], over the
+        coarse bins l of the cells p = lN + n. On a full schedule these
+        are the blocks of this system's Phi^H Phi.
         """
-        if self.pulses.size != self.n_pulses:
-            raise ValueError("gram_blocks needs a full pulse schedule")
         stack = self._stack
         return self.n_pulses * (stack.transpose(0, 2, 1) @ stack)
 
@@ -142,68 +130,122 @@ class SensingSystem:
         """Phi Phi^H (S*M x S*M), sample-major like y, as a new array.
 
         Entry (s, m; s', m') sums E[s, p] E[s', p] exp(-j 2 pi (c_m - c_m') p / N)
-        over the cells; the phase only depends on n = p mod N, so it is
-        B[(c_m - c_m') mod N, s, s'] with B the FFT over n of the S x S
-        products stack[n] stack[n]^T. Each pulse m gathers its row of B
-        straight into the final (S, M, S, M) layout, so the only other
-        array of note is B (N x S x S).
+        over the cells; the phase only depends on n = p mod N, so it comes
+        from the S x S products stack[n] stack[n]^T (see _pulse_gram).
         """
         stack = self._stack
-        b = np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0)
-        k = (self.pulses[:, None] - self.pulses[None, :]) % self.n_pulses
-        s_count, m_count = stack.shape[1], k.shape[0]
-        g = np.empty((s_count, m_count, s_count, m_count), dtype=np.complex128)
-        for m in range(m_count):
-            g[:, m] = b[k[m]].transpose(1, 2, 0)
-        return g.reshape(self.n_rows, self.n_rows)
+        return _pulse_gram(stack @ stack.transpose(0, 2, 1), self.pulses)
 
     @cached_property
     def norm_sq(self) -> float:
-        """Largest squared singular value of Phi, computed once.
+        """Squared norm of the full pulse train's Phi, computed once.
 
-        The top eigenvalue of the smallest exact normal matrix (see
-        _normal_matrix), exact to roundoff; it is the Lipschitz constant of
-        the least-squares gradient.
+        This system's Phi is that operator with the missing pulses' rows
+        deleted, and deleting rows cannot raise the top singular value, so
+        the value is exact on a full schedule and an upper bound otherwise.
+        It is the largest top eigenvalue of the N blocks of gram_blocks, one
+        batched L x L eigvalsh, and it depends on the radar and the pulse
+        shape, not on the schedule. The sparse route takes its step from it:
+        a bound above the exact norm only shortens the step.
         """
-        _, g = _normal_matrix(self)
-        return float(np.linalg.eigvalsh(g)[..., -1].max())
+        return float(np.linalg.eigvalsh(self.gram_blocks())[:, -1].max())
 
 
-def _normal_matrix(sys: SensingSystem) -> tuple:
-    """The smallest exact normal matrix of Phi as (form, new array).
+def _fold_ifft(stack: np.ndarray, v: np.ndarray, pulse_indices) -> np.ndarray:
+    """Adjoint of _fold_fft: the profile that sample-major v (S x M) backs to.
 
-    "blocks" on a full schedule: the N diagonal L x L blocks of Phi^H Phi
-    (gram_blocks). "rows" when S*M < NL: Phi Phi^H (row_gram). "columns"
-    otherwise: Phi^H Phi (gram).
+    Scatters v onto the given pulses of a full (N x S) pulse grid, runs an
+    unscaled inverse FFT over the pulses, and weights each sample by its
+    shape: one real (L x S) by (S x 2) product per fine index.
     """
-    if sys.pulses.size == sys.n_pulses:
-        return "blocks", sys.gram_blocks()
-    if sys.underdetermined:
-        return "rows", sys.row_gram()
-    return "columns", sys.gram()
+    n_pulses, s_count, _ = stack.shape
+    grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
+    grid[pulse_indices] = v.reshape(s_count, -1).T
+    grid = np.fft.ifft(grid, axis=0, norm="forward")
+    w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
+    g = (stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
+    return g.T.ravel()
+
+
+def _pulse_gram(kernels: np.ndarray, pulse_indices) -> np.ndarray:
+    """Sample-major matrix over (sample, pulse) pairs from N real S x S kernels.
+
+    Entry (s, m; s', m') is sum_n exp(-j 2 pi (c_m - c_m') n / N) kernels[n, s, s'],
+    that is B[(c_m - c_m') mod N, s, s'] with B the FFT of the kernels over
+    n. Each pulse m gathers its row of B straight into the final
+    (S, M, S, M) layout, so the only other array of note is B (N x S x S).
+    """
+    n_pulses, s_count, _ = kernels.shape
+    b = np.fft.fft(kernels, axis=0)
+    k = (pulse_indices[:, None] - pulse_indices[None, :]) % n_pulses
+    m_count = k.shape[0]
+    g = np.empty((s_count, m_count, s_count, m_count), dtype=np.complex128)
+    for m in range(m_count):
+        g[:, m] = b[k[m]].transpose(1, 2, 0)
+    return g.reshape(s_count * m_count, s_count * m_count)
+
+
+def _blocks_apply(blocks: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A real block-diagonal matrix (N x L x L) times a profile.
+
+    Block n acts on the coarse bins of fine index n, cells lN + n; the
+    complex profile goes in as two real columns per block.
+    """
+    n_pulses, l_bins, _ = blocks.shape
+    h = np.ascontiguousarray(h.reshape(l_bins, n_pulses).T)
+    x = blocks @ h.view(np.float64).reshape(n_pulses, l_bins, 2)
+    return x.view(np.complex128)[..., 0].T.ravel()
+
+
+def _normal_form(sys: SensingSystem) -> str:
+    """The smallest ridge-shifted normal system of Phi that _ridge_solve factors.
+
+    "complement", of size S(N - M): the missing pulses' rows against the
+    full train, none on a full schedule. "rows", of size S*M: Phi Phi^H.
+    "columns", of size NL: Phi^H Phi. Ties go to the earlier form. The
+    default sampling gives S*N = 1.5 NL, so the column form is only picked
+    on oversampled gates, where it is the smallest.
+    """
+    sizes = {
+        "complement": sys.envelopes.shape[0] * (sys.n_pulses - sys.pulses.size),
+        "rows": sys.n_rows,
+        "columns": sys.n_cells,
+    }
+    return min(sizes, key=sizes.get)
 
 
 def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
-    """(Phi^H Phi + ridge I)^-1 Phi^H y from the smallest exact normal matrix.
+    """(Phi^H Phi + ridge I)^-1 Phi^H y from the smallest normal system.
 
-    On a full schedule, one L x L solve per fine index; with fewer rows
-    than cells, the push-through identity
-    (Phi^H Phi + r I)^-1 Phi^H = Phi^H (Phi Phi^H + r I)^-1; otherwise the
-    NL x NL column normal equations.
+    "rows": the push-through identity
+    (Phi^H Phi + r I)^-1 Phi^H = Phi^H (Phi Phi^H + r I)^-1. "columns": the
+    NL x NL normal equations. "complement": with A the full train's
+    Phi^H Phi + r I, block-diagonal over the fine index, and U the rows of
+    the missing pulses, Phi^H Phi + r I = A - U^H U, and Woodbury gives
+    (A - U^H U)^-1 = A^-1 + A^-1 U^H (I - U A^-1 U^H)^-1 U A^-1. A^-1 is N
+    inverses of L x L; the capacitance matrix I - U A^-1 U^H comes from the
+    row_gram construction over stack[n] A_n^-1 stack[n]^T. U and U^H are the
+    fold-and-FFT kernels restricted to the missing pulses.
     """
-    form, g = _normal_matrix(sys)
-    if form == "blocks":
-        # block n holds the coarse bins of fine index n, cells lN + n; the
-        # complex right-hand side goes in as two real columns
-        n_pulses, l_bins, _ = g.shape
-        g += ridge * np.eye(l_bins)
-        rhs = np.ascontiguousarray(sys.adjoint(sys.y).reshape(l_bins, n_pulses).T)
-        x = np.linalg.solve(g, rhs.view(np.float64).reshape(n_pulses, l_bins, 2))
-        return x.view(np.complex128)[..., 0].T.ravel()
-    g[np.diag_indices_from(g)] += ridge
+    form = _normal_form(sys)
     if form == "rows":
+        g = sys.row_gram()
+        g[np.diag_indices_from(g)] += ridge
         return sys.adjoint(np.linalg.solve(g, sys.y))
-    return np.linalg.solve(g, sys.adjoint(sys.y))
+    rhs = sys.adjoint(sys.y)
+    if form == "columns":
+        g = sys.gram()
+        g[np.diag_indices_from(g)] += ridge
+        return np.linalg.solve(g, rhs)
+    stack = sys._stack
+    n_pulses, _, l_bins = stack.shape
+    a_inv = np.linalg.inv(sys.gram_blocks() + ridge * np.eye(l_bins))
+    missing = np.setdiff1d(np.arange(n_pulses), sys.pulses)
+    x = _blocks_apply(a_inv, rhs)
+    cap = _pulse_gram(-stack @ a_inv @ stack.transpose(0, 2, 1), missing)
+    cap[np.diag_indices_from(cap)] += 1.0
+    z = np.linalg.solve(cap, _fold_fft(stack, x, missing).ravel(order="F"))
+    return x + _blocks_apply(a_inv, _fold_ifft(stack, z, missing))
 
 
 def projection_row(

@@ -28,10 +28,10 @@ class SolverOptions:
 
     epsilon picks the residual budget explicitly; when None it is derived
     from the system noise level as epsilon_factor * sigma * sqrt(n_rows).
-    ls_ridge defaults to 1e-6 times the largest squared singular value of
-    the operator (the exact top eigenvalue of its smallest normal matrix,
-    computed once per system). max_iters caps the inner iterations spent
-    at each penalty level.
+    ls_ridge defaults to 1e-6 times the squared operator norm of the full
+    pulse train (operator_norm_sq), a property of the radar and the pulse
+    shape that is the same on every schedule. max_iters caps the inner
+    iterations spent at each penalty level.
     """
 
     max_iters: int = 5000
@@ -97,12 +97,13 @@ def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 
 
 def operator_norm_sq(op: SensingSystem) -> float:
-    """Largest squared singular value of a sensing system's Phi.
+    """Squared operator norm of the full pulse train, a bound for Phi's.
 
-    Exact to roundoff: the top eigenvalue of the system's smallest exact
-    normal matrix (diagonal blocks of Phi^H Phi on a full schedule,
-    Phi Phi^H when it has fewer rows than cells, Phi^H Phi otherwise),
-    computed once and kept, so later calls on the same system cost nothing.
+    The top eigenvalue of the full train's Phi^H Phi, which is N diagonal
+    L x L blocks over the fine index: exact on a full schedule and never
+    below the largest squared singular value of Phi otherwise, since a
+    schedule only deletes rows. Computed once per system and kept
+    (SensingSystem.norm_sq), so later calls on the same system cost nothing.
     """
     return op.norm_sq
 
@@ -227,8 +228,9 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     """Ridge-regularized least squares through the normal equations.
 
     Minimizes ||y - phi h||^2 + ridge * ||h||^2; deterministic, and exact
-    up to factorization roundoff. The normal equations are the smallest
-    exact ones the system has (see sensing._ridge_solve).
+    up to factorization roundoff. The normal system is the smallest of the
+    complement, row and column forms (see sensing._ridge_solve); none is
+    NL x NL at the default sampling.
     """
     opts = opts or SolverOptions()
     y = sys.y

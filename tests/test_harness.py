@@ -211,6 +211,21 @@ def test_spec_rejects_more_scatterers_than_cells(small_cfg):
     ExperimentSpec(radar=small_cfg, target=SyntheticSparse(small_cfg.n_cells))
 
 
+def test_spec_rejects_missing_target_file(tmp_path, small_cfg):
+    # rejected when the spec is built, not inside run_experiment
+    path = tmp_path / "absent.csv"
+    with pytest.raises(ConfigError, match="absent.csv"):
+        ExperimentSpec(radar=small_cfg, target=FileTarget(str(path)))
+
+
+def test_spec_rejects_target_file_of_wrong_length(tmp_path, small_cfg):
+    other = replace(small_cfg, l_bins=small_cfg.l_bins + 1)
+    path = tmp_path / "truth.csv"
+    export_profile(draw_synthetic_target(other, 5, seed=9), range_axis(other), path)
+    with pytest.raises(ConfigError, match="profile length 64"):
+        ExperimentSpec(radar=small_cfg, target=FileTarget(str(path)))
+
+
 GOOD_CONFIG = """
 [radar]
 f_c = 5.0e9

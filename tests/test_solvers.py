@@ -51,6 +51,12 @@ def radar_system(cfg, shape, n_missing, rng, n_scatterers, noise=None, seed=0):
     return values, trm, build_sensing_system(cfg, shape, schedule, trm)
 
 
+def full_train_norm_sq(cfg, shape):
+    """Dense squared norm of the operator with every pulse present."""
+    _, _, sys_ = radar_system(cfg, shape, 0, np.random.default_rng(0), 1)
+    return np.linalg.norm(sys_.phi, 2) ** 2
+
+
 # -- complex soft-thresholding ------------------------------------------------
 
 def test_soft_threshold_closed_form():
@@ -98,29 +104,48 @@ def test_operator_norm_sq_cached_on_system(cfg32, ideal_shape, monkeypatch):
     rng = np.random.default_rng(44)
     _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
     first = operator_norm_sq(sys_)
-    assert first == pytest.approx(np.linalg.norm(sys_.phi, 2) ** 2, rel=1e-10)
+    # the full train's norm, never below this schedule's
+    assert first == pytest.approx(full_train_norm_sq(cfg32, ideal_shape), rel=1e-10)
+    assert first >= np.linalg.norm(sys_.phi, 2) ** 2 * (1 - 1e-12)
 
-    def no_gram(self):
-        raise AssertionError("Gram matrix rebuilt for a system already measured")
+    def no_blocks(self):
+        raise AssertionError("norm recomputed for a system already measured")
 
-    monkeypatch.setattr(SensingSystem, "gram", no_gram)
+    monkeypatch.setattr(SensingSystem, "gram_blocks", no_blocks)
     assert operator_norm_sq(sys_) == first
 
 
-@pytest.mark.parametrize("n_missing", [0, 20])
+@pytest.mark.parametrize("n_missing", [0, 4, 8, 12, 16, 20])
 def test_small_normal_forms_skip_the_column_gram(cfg32, ideal_shape, monkeypatch,
                                                  n_missing):
-    # a full schedule uses the diagonal blocks, 20 missing (S*M < NL) Phi Phi^H
+    # the norm comes from the full train's L x L blocks on every schedule;
+    # LS solves S(N - M) x S(N - M) (complement) or S*M x S*M (rows), never NL x NL
     rng = np.random.default_rng(47)
     _, _, sys_ = radar_system(cfg32, ideal_shape, n_missing, rng, 24)
     exact = np.linalg.norm(sys_.phi, 2) ** 2
+    full = full_train_norm_sq(cfg32, ideal_shape)
+    row_grams = []
+    row_gram = SensingSystem.row_gram
 
     def no_gram(self):
-        raise AssertionError("NL x NL Gram matrix built")
+        raise AssertionError("Gram matrix built for the norm")
 
     monkeypatch.setattr(SensingSystem, "gram", no_gram)
-    assert operator_norm_sq(sys_) == pytest.approx(exact, rel=1e-10)
-    assert solve_least_squares(sys_).converged
+    monkeypatch.setattr(SensingSystem, "row_gram", no_gram)
+    norm = operator_norm_sq(sys_)
+    assert norm == pytest.approx(full, rel=1e-10)
+    assert norm >= exact * (1 - 1e-12)
+
+    def counted_row_gram(self):
+        row_grams.append(self)
+        return row_gram(self)
+
+    monkeypatch.setattr(SensingSystem, "row_gram", counted_row_gram)
+    fresh = with_y(sys_, sys_.y)  # no norm cached yet
+    assert solve_least_squares(fresh).converged
+    # only the row form (20 missing: S*M = 216 < S(N - M) = 360) builds it,
+    # once, for the solve
+    assert len(row_grams) == (1 if n_missing == 20 else 0)
 
 
 def test_row_gram_memory(cfg32, ideal_shape):
@@ -134,6 +159,36 @@ def test_row_gram_memory(cfg32, ideal_shape):
         tracemalloc.stop()
     assert gram.shape == (sys_.n_rows, sys_.n_rows)
     assert peak < 1.5 * gram.nbytes
+
+
+def test_large_gate_least_squares_stays_below_one_column_gram(monkeypatch):
+    # N=64, L=16, 16 missing: the complement form (384 rows) against a
+    # 1024 x 1024 column Gram
+    cfg = RadarConfig(
+        f_c=5.0e9, delta_f=16e6, n_pulses=64, pulse_bandwidth=24e6, l_bins=16
+    )
+    shape = PulseShape.ideal_sinc(cfg.pulse_bandwidth)
+    rng = np.random.default_rng(49)
+    _, _, sys_ = radar_system(cfg, shape, 16, rng, 24, seed=5)
+
+    def no_gram(self):
+        raise AssertionError("NL x NL Gram matrix built")
+
+    monkeypatch.setattr(SensingSystem, "gram", no_gram)
+    tracemalloc.start()
+    try:
+        h = solve_least_squares(sys_).h_est
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys_.n_cells**2 * np.dtype(np.complex128).itemsize
+
+    phi = sys_.phi
+    ridge = 1e-6 * operator_norm_sq(sys_)
+    gram = phi.conj().T @ phi
+    gram[np.diag_indices_from(gram)] += ridge
+    dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
+    assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
 # -- sparse recovery ----------------------------------------------------------
