@@ -9,7 +9,6 @@ from .echo import (
     Trm,
     build_trm,
     random_missing_schedule,
-    synthesize_echo_sample,
 )
 from .harness import (
     ExperimentSpec,
@@ -36,11 +35,10 @@ from .model import (
     ConfigError,
     PulseShape,
     RadarConfig,
-    carrier_frequency,
     pulse_shape_eval,
     range_axis,
 )
-from .sensing import SensingSystem, build_sensing_system, projection_row
+from .sensing import SensingSystem, build_sensing_system
 from .solvers import (
     RecoveryResult,
     SolverOptions,
@@ -72,14 +70,12 @@ __all__ = [
     "TrmSampleError",
     "build_sensing_system",
     "build_trm",
-    "carrier_frequency",
     "draw_synthetic_target",
     "export_profile",
     "load_experiment_spec",
     "load_profile_csv",
     "load_trm_file",
     "peak_sidelobe_db",
-    "projection_row",
     "pulse_shape_eval",
     "random_missing_schedule",
     "range_axis",
@@ -90,7 +86,6 @@ __all__ = [
     "solve_least_squares",
     "solve_sparse_l1",
     "solve_stretch_idft",
-    "synthesize_echo_sample",
     "write_trials_csv",
     "write_trm_file",
 ]

@@ -4,7 +4,6 @@ Verbs:
   simulate  run one trial from a config and dump truth/estimate profiles
   sweep     run the full experiment grid and write trials.csv
   recover   load a recorded TRM file and run one solver on it
-  selftest  run the built-in invariant suite
 """
 
 import argparse
@@ -23,7 +22,6 @@ from .harness import (
     draw_trial,
     load_experiment_spec,
     run_experiment,
-    selftest,
     solve_method,
     write_trials_csv,
 )
@@ -117,15 +115,6 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    failures = 0
-    for name, passed, detail in selftest(seed=args.seed or 0):
-        status = "PASS" if passed else "FAIL"
-        print(f"{status}  {name} ({detail})")
-        failures += 0 if passed else 1
-    return 1 if failures else 0
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by later calls."""
@@ -166,10 +155,6 @@ def _parser() -> argparse.ArgumentParser:
         help="solver to run (repeatable; default: first config solver)",
     )
     p.set_defaults(func=cmd_recover)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 

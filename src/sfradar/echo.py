@@ -153,26 +153,6 @@ def _fold_fft(stack: np.ndarray, values: np.ndarray, pulse_indices) -> np.ndarra
     return np.fft.fft(folded, axis=0)[pulse_indices]
 
 
-def synthesize_echo_sample(
-    profile: RangeProfile, pulse_index: int, tau: float, shape: PulseShape
-) -> complex:
-    """Noise-free baseband echo of one pulse at one sampling instant.
-
-    Sums, over every fine cell p, the cell reflectivity times the pulse
-    shape at (tau - p / (N delta_f)) times the stepped-carrier phase
-    exp(-j 2 pi pulse_index p / N). tau is referenced to the gate start.
-    """
-    cfg = profile.cfg
-    if not 0 <= pulse_index < cfg.n_pulses:
-        raise ConfigError(
-            f"pulse index {pulse_index} out of range [0, {cfg.n_pulses})"
-        )
-    p = np.arange(cfg.n_cells)
-    envelope = pulse_shape_eval(shape, tau - p * cfg.fine_delay_spacing)
-    phase = np.exp(-2j * np.pi * pulse_index * p / cfg.n_pulses)
-    return complex(np.sum(profile.values * envelope * phase))
-
-
 def build_trm(
     profile: RangeProfile,
     schedule: PulseSchedule,

@@ -18,10 +18,10 @@ import numpy as np
 
 from .echo import (
     NoiseModel,
+    PulseSchedule,
     RangeProfile,
     build_trm,
     random_missing_schedule,
-    synthesize_echo_sample,
 )
 from .io import load_profile_csv
 from .metrics import similarity
@@ -85,6 +85,9 @@ class ExperimentSpec:
             )
         sweep = tuple(int(v) for v in self.sweep)
         object.__setattr__(self, "sweep", sweep)
+        for name, values in (("sweep", sweep), ("snr_db", self.snr_list)):
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"{name} must list distinct values, got {values}")
         for v in sweep:
             if not 0 <= v < self.radar.n_pulses:
                 raise ConfigError(
@@ -113,6 +116,8 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"unknown solver {name!r}; choose from {METHODS}"
                 )
+        if self.valid_pulses is not None:
+            PulseSchedule(self.valid_pulses, self.radar.n_pulses)
         if self.shape is None:
             object.__setattr__(
                 self, "shape", PulseShape.ideal_sinc(self.radar.pulse_bandwidth)
@@ -291,10 +296,7 @@ def write_trials_csv(records, path) -> None:
 # -- configuration file -----------------------------------------------------
 
 _SECTION_KEYS = {
-    "radar": {
-        "f_c", "delta_f", "n_pulses", "pulse_bandwidth", "delta_t",
-        "q_start", "l_bins", "c_light",
-    },
+    "radar": {f.name for f in fields(RadarConfig)},
     "pulse_shape": {"kind", "window", "truncation_halfwidth"},
     "target": {"kind", "n_scatterers", "path"},
     "experiment": {
@@ -302,6 +304,7 @@ _SECTION_KEYS = {
     },
     "solver": {f.name for f in fields(SolverOptions)},
 }
+# explicit, not derived from the field defaults: l_bins has one
 _REQUIRED = {
     "radar": {"f_c", "delta_f", "n_pulses", "pulse_bandwidth", "l_bins"},
     "experiment": {"sweep", "snr_db", "trials_per_point", "seed"},
@@ -311,6 +314,20 @@ _REQUIRED = {
 def _parse_list(raw: str, cast):
     parts = [p.strip() for p in raw.replace(",", " ").split()]
     return tuple(cast(p) for p in parts)
+
+
+def _read_fields(section, cls) -> dict:
+    """The keys of a config section that name fields of dataclass cls.
+
+    Each value is read as its field's annotated type: bool, int, or else
+    float (an optional float field is annotated float | None).
+    """
+    getters = {bool: section.getboolean, int: section.getint}
+    return {
+        f.name: getters.get(f.type, section.getfloat)(f.name)
+        for f in fields(cls)
+        if f.name in section
+    }
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -343,17 +360,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
             if key not in cp[section]:
                 raise ConfigError(f"{path}: missing key {key!r} in [{section}]")
 
-    r = cp["radar"]
-    radar = RadarConfig(
-        f_c=r.getfloat("f_c"),
-        delta_f=r.getfloat("delta_f"),
-        n_pulses=r.getint("n_pulses"),
-        pulse_bandwidth=r.getfloat("pulse_bandwidth"),
-        delta_t=r.getfloat("delta_t") if "delta_t" in r else None,
-        q_start=r.getint("q_start") if "q_start" in r else 0,
-        l_bins=r.getint("l_bins"),
-        **({"c_light": r.getfloat("c_light")} if "c_light" in r else {}),
-    )
+    radar = RadarConfig(**_read_fields(cp["radar"], RadarConfig))
 
     shape = None
     if "pulse_shape" in cp:
@@ -397,19 +404,9 @@ def load_experiment_spec(path) -> ExperimentSpec:
         values = _parse_list(raw_snr, float)
         snr_db = values[0] if len(values) == 1 else values
 
-    kwargs = {}
+    opts = SolverOptions()
     if "solver" in cp:
-        s = cp["solver"]
-        for f in fields(SolverOptions):
-            if f.name in s:
-                # bool is an int, so it is checked first; a None default is a float
-                if isinstance(f.default, bool):
-                    kwargs[f.name] = s.getboolean(f.name)
-                elif isinstance(f.default, int):
-                    kwargs[f.name] = s.getint(f.name)
-                else:
-                    kwargs[f.name] = s.getfloat(f.name)
-    opts = SolverOptions(**kwargs)
+        opts = SolverOptions(**_read_fields(cp["solver"], SolverOptions))
 
     return ExperimentSpec(
         radar=radar,
@@ -427,85 +424,3 @@ def load_experiment_spec(path) -> ExperimentSpec:
             _parse_list(e.get("valid_pulses"), int) if "valid_pulses" in e else None
         ),
     )
-
-
-# -- built-in invariant checks (CLI selftest) --------------------------------
-
-def _naive_idft(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    k = np.arange(n)
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        out[i] = np.sum(x * np.exp(2j * np.pi * k * i / n)) / n
-    return out
-
-
-def selftest(seed: int = 0) -> list:
-    """Quick invariant suite; returns (name, passed, detail) triples."""
-    from .solvers import soft_threshold
-
-    cfg = RadarConfig(
-        f_c=5.0e9, delta_f=16e6, n_pulses=16, pulse_bandwidth=24e6, l_bins=4
-    )
-    shape = PulseShape.ideal_sinc(cfg.pulse_bandwidth)
-    rng = np.random.default_rng(seed)
-    results = []
-
-    values = np.zeros(cfg.n_cells, dtype=np.complex128)
-    cells = rng.choice(cfg.n_cells, size=5, replace=False)
-    values[cells] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    truth = RangeProfile(values, cfg)
-    schedule = random_missing_schedule(cfg.n_pulses, 6, seed)
-    trm = build_trm(truth, schedule, shape)
-    sys = build_sensing_system(cfg, shape, schedule, trm)
-
-    direct = np.array([
-        synthesize_echo_sample(truth, c_m, s * cfg.delta_t, shape)
-        for c_m, s in sys.row_keys
-    ])
-    err = np.linalg.norm(sys.apply(truth.values) - direct) / np.linalg.norm(direct)
-    results.append(
-        ("sensing operator matches echo synthesis", err <= 1e-12, f"rel err {err:.2e}")
-    )
-
-    u = rng.standard_normal(cfg.n_cells) + 1j * rng.standard_normal(cfg.n_cells)
-    v = rng.standard_normal(sys.n_rows) + 1j * rng.standard_normal(sys.n_rows)
-    lhs = np.vdot(v, sys.apply(u))
-    rhs = np.vdot(sys.adjoint(v), u)
-    adj = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    results.append(("adjoint consistency", adj <= 1e-10, f"rel err {adj:.2e}"))
-
-    z = 1.3 - 0.7j
-    t = 0.5
-    prox = soft_threshold(np.array([z]), t)[0]
-    grid = np.linspace(0.0, abs(z) + t, 200001)
-    obj = 0.5 * (grid - abs(z)) ** 2 + t * grid
-    best = grid[int(np.argmin(obj))]
-    prox_err = abs(abs(prox) - best)
-    results.append(
-        ("complex soft-threshold prox", prox_err <= 1e-4, f"mag err {prox_err:.2e}")
-    )
-
-    col = rng.standard_normal(cfg.n_pulses) + 1j * rng.standard_normal(cfg.n_pulses)
-    fft_err = np.linalg.norm(np.fft.ifft(col) - _naive_idft(col))
-    results.append(
-        ("inverse DFT against direct summation", fft_err <= 1e-12, f"abs err {fft_err:.2e}")
-    )
-
-    opts = SolverOptions(epsilon=1e-6 * float(np.linalg.norm(sys.y)))
-    rec = solve_sparse_l1(sys, opts)
-    rel = float(np.linalg.norm(rec.h_est - truth.values) / np.linalg.norm(truth.values))
-    results.append(
-        ("noiseless sparse recovery", rel <= 1e-3, f"rel err {rel:.2e}")
-    )
-
-    spec = ExperimentSpec(
-        radar=cfg, target=SyntheticSparse(4), sweep=(0, 4), snr_db=15.0,
-        trials_per_point=2, seed=seed,
-    )
-    rows_a = [format_trial_row(r).rsplit(",", 1)[0] for r in run_experiment(spec, workers=1)]
-    rows_b = [format_trial_row(r).rsplit(",", 1)[0] for r in run_experiment(spec, workers=2)]
-    results.append(
-        ("experiment determinism across workers", rows_a == rows_b, f"{len(rows_a)} records")
-    )
-    return results

@@ -1,7 +1,7 @@
 """Waveform and geometry configuration for a stepped-frequency pulse train.
 
 Everything here is deterministic bookkeeping derived from the radar
-parameters: the carrier schedule, the fine range axis spanned by the
+parameters: the range-gate geometry, the fine range axis spanned by the
 synthetic bandwidth, and the compressed (baseband) pulse shape.
 """
 
@@ -116,15 +116,6 @@ class RadarConfig:
     def fine_delay_spacing(self) -> float:
         """Two-way delay between adjacent fine cells, 1 / (N delta_f)."""
         return 1.0 / (self.n_pulses * self.delta_f)
-
-
-def carrier_frequency(cfg: RadarConfig, n: int) -> float:
-    """Carrier frequency of pulse n: f_c + n * delta_f."""
-    if not 0 <= n < cfg.n_pulses:
-        raise ConfigError(
-            f"pulse index {n} out of range [0, {cfg.n_pulses})"
-        )
-    return cfg.f_c + n * cfg.delta_f
 
 
 def range_axis(cfg: RadarConfig) -> np.ndarray:

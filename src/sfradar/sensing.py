@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .echo import PulseSchedule, Trm, _fold_fft, _shape_matrix, _shape_stack
-from .model import ConfigError, PulseShape, RadarConfig, pulse_shape_eval
+from .model import ConfigError, PulseShape, RadarConfig
 
 # Columns of E^T E formed at a time when assembling the Gram matrix. A
 # full NL x NL real temporary beside the result raised the peak RSS of a
@@ -53,10 +53,6 @@ class SensingSystem:
     @property
     def n_cells(self) -> int:
         return self.envelopes.shape[1]
-
-    @property
-    def underdetermined(self) -> bool:
-        return self.n_rows < self.n_cells
 
     @cached_property
     def row_keys(self) -> tuple:
@@ -246,23 +242,6 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     cap[np.diag_indices_from(cap)] += 1.0
     z = np.linalg.solve(cap, _fold_fft(stack, x, missing).ravel(order="F"))
     return x + _blocks_apply(a_inv, _fold_ifft(stack, z, missing))
-
-
-def projection_row(
-    cfg: RadarConfig, shape: PulseShape, c_m: int, tau: float
-) -> np.ndarray:
-    """Measurement row for one pulse index at one gate-referenced instant.
-
-    Element p is pulse_shape(tau - p / (N delta_f)) times
-    exp(-j 2 pi c_m p / N); its inner product with a profile equals the
-    noise-free echo sample of that pulse at that instant.
-    """
-    if not 0 <= c_m < cfg.n_pulses:
-        raise ConfigError(f"pulse index {c_m} out of range [0, {cfg.n_pulses})")
-    p = np.arange(cfg.n_cells)
-    envelope = pulse_shape_eval(shape, tau - p * cfg.fine_delay_spacing)
-    phase = np.exp(-2j * np.pi * c_m * p / cfg.n_pulses)
-    return envelope * phase
 
 
 def build_sensing_system(

@@ -117,13 +117,11 @@ def prox_gradient_l1(
     max_iters: int,
     rel_change_tol: float,
     accelerate: bool = True,
-    keep_history: bool = False,
 ):
     """Proximal-gradient descent on 0.5 ||y - Phi x||^2 + lam ||x||_1.
 
     Accelerated (momentum) by default; accelerate=False gives the plain
-    iteration whose objective is non-increasing. Returns (x, iterations)
-    or (x, iterations, objective_history) when keep_history is set.
+    iteration whose objective is non-increasing. Returns (x, iterations).
 
     Parameters
     ----------
@@ -138,7 +136,6 @@ def prox_gradient_l1(
     x = x0.astype(np.complex128, copy=True)
     z = x.copy()
     t = 1.0
-    history = []
     iters = 0
     for k in range(max_iters):
         grad = op.adjoint(op.apply(z) - y)
@@ -150,17 +147,10 @@ def prox_gradient_l1(
             t = t_new
         else:
             z = x_new
-        if keep_history:
-            r = y - op.apply(x_new)
-            history.append(
-                0.5 * float(np.vdot(r, r).real) + lam * float(np.sum(np.abs(x_new)))
-            )
         change = float(np.linalg.norm(x_new - x))
         x = x_new
         if change < rel_change_tol * max(float(np.linalg.norm(x)), 1e-12):
             break
-    if keep_history:
-        return x, iters, history
     return x, iters
 
 
@@ -252,11 +242,6 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     )
 
 
-def idft(column: np.ndarray) -> np.ndarray:
-    """Length-N inverse DFT, (1/N) sum_n x_n exp(+j 2 pi n k / N)."""
-    return np.fft.ifft(column)
-
-
 def stretch_bin_columns(cfg: RadarConfig) -> list:
     """Column index feeding each coarse bin: nearest sample to bin centre.
 
@@ -288,7 +273,8 @@ def solve_stretch_idft(
     grid = np.zeros((cfg.n_pulses, trm.data.shape[1]), dtype=np.complex128)
     grid[list(rows), :] = trm.data
 
-    segments = idft(grid[:, stretch_bin_columns(cfg)].T)  # (L, N): bin-wise IDFTs
+    # (L, N): bin-wise inverse DFTs, (1/N) sum_n x_n exp(+j 2 pi n k / N)
+    segments = np.fft.ifft(grid[:, stretch_bin_columns(cfg)].T)
     h_est = segments.reshape(-1)
 
     schedule = PulseSchedule(rows, cfg.n_pulses)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfradar import PulseShape, RadarConfig
+from sfradar import ConfigError, PulseShape, RadarConfig, pulse_shape_eval
 
 
 @pytest.fixture
@@ -32,3 +32,22 @@ def sparse_profile(cfg, n_scatterers, rng):
         n_scatterers
     )
     return values
+
+
+def synthesize_echo_sample(profile, pulse_index, tau, shape):
+    """Noise-free baseband echo of one pulse at one sampling instant.
+
+    The independent reference for echo synthesis and the sensing operator:
+    sums, over every fine cell p, the cell reflectivity times the pulse
+    shape at (tau - p / (N delta_f)) times the stepped-carrier phase
+    exp(-j 2 pi pulse_index p / N). tau is referenced to the gate start.
+    """
+    cfg = profile.cfg
+    if not 0 <= pulse_index < cfg.n_pulses:
+        raise ConfigError(
+            f"pulse index {pulse_index} out of range [0, {cfg.n_pulses})"
+        )
+    p = np.arange(cfg.n_cells)
+    envelope = pulse_shape_eval(shape, tau - p * cfg.fine_delay_spacing)
+    phase = np.exp(-2j * np.pi * pulse_index * p / cfg.n_pulses)
+    return complex(np.sum(profile.values * envelope * phase))

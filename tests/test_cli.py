@@ -159,12 +159,20 @@ def test_recover_dimension_error_is_reported(tmp_path, config_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_selftest_passes(capsys):
-    rc = main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "PASS" in out
-    assert "FAIL" not in out
+@pytest.mark.parametrize("verb", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "old, new",
+    [("sweep = 0, 5", "sweep ="), ("sweep = 0, 5", "sweep = 0, 0"),
+     ("snr_db = 15", "snr_db ="), ("snr_db = 15", "snr_db = 15, 15")],
+    ids=["empty_sweep", "repeated_sweep", "empty_snr", "repeated_snr"],
+)
+def test_empty_or_repeated_list_is_a_config_error(tmp_path, capsys, verb, old, new):
+    path = tmp_path / "exp.cfg"
+    path.write_text(CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {new.split()[0]} must list")
+    assert not out.exists()
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

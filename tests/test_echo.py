@@ -10,9 +10,8 @@ from sfradar import (
     RangeProfile,
     build_trm,
     random_missing_schedule,
-    synthesize_echo_sample,
 )
-from conftest import sparse_profile
+from conftest import sparse_profile, synthesize_echo_sample
 
 
 def naive_echo(values, cfg, shape_bandwidth, pulse_index, tau):

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from sfradar.harness import (
     TRIALS_CSV_HEADER,
     child_seed,
     format_trial_row,
-    selftest,
 )
 
 
@@ -211,6 +211,14 @@ def test_spec_rejects_more_scatterers_than_cells(small_cfg):
     ExperimentSpec(radar=small_cfg, target=SyntheticSparse(small_cfg.n_cells))
 
 
+@pytest.mark.parametrize("valid_pulses", [(0, 3, 16), (5, 2), ()])
+def test_spec_rejects_bad_valid_pulses(small_cfg, valid_pulses):
+    # rejected when the spec is built, not when recover makes the schedule
+    with pytest.raises(ConfigError, match="pulse"):
+        ExperimentSpec(radar=small_cfg, valid_pulses=valid_pulses)
+    ExperimentSpec(radar=small_cfg, valid_pulses=(0, 3, 15))
+
+
 def test_spec_rejects_missing_target_file(tmp_path, small_cfg):
     # rejected when the spec is built, not inside run_experiment
     path = tmp_path / "absent.csv"
@@ -276,23 +284,37 @@ def test_load_experiment_spec_unknown_key(tmp_path):
 
 
 SOLVER_SECTION = "[solver]\nmax_iters = 4000\nlambda_path_steps = 8\n"
-# a value other than the default for every SolverOptions field
+# the [radar] keys of GOOD_CONFIG
+GOOD_RADAR = dict(f_c=5.0e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=24e6, l_bins=12)
+# a value other than the default, and other than GOOD_CONFIG's, for every
+# SolverOptions and RadarConfig field
 NON_DEFAULT_OPTIONS = dict(
     max_iters=1234, rel_change_tol=2.5e-7, epsilon=0.125, epsilon_factor=1.75,
     lambda_path_steps=5, lambda_ratio=0.25, ls_ridge=3e-9, accelerate=False,
+    f_c=6.5e9, delta_f=8e6, n_pulses=40, pulse_bandwidth=30e6, delta_t=2.5e-8,
+    q_start=3, l_bins=10, c_light=2.5e8,
 )
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(SolverOptions)])
+@pytest.mark.parametrize(
+    "name", [f.name for f in fields(SolverOptions) + fields(RadarConfig)]
+)
 def test_load_experiment_spec_solver_option_round_trip(tmp_path, name):
     value = NON_DEFAULT_OPTIONS[name]
-    assert value != getattr(SolverOptions(), name)
     text = str(value).lower() if isinstance(value, bool) else repr(value)
     path = tmp_path / "exp.cfg"
-    path.write_text(GOOD_CONFIG.replace(SOLVER_SECTION, f"[solver]\n{name} = {text}\n"))
-    opts = load_experiment_spec(path).solver_opts
-    assert opts == replace(SolverOptions(), **{name: value})
-    assert type(getattr(opts, name)) is type(value)
+    if name in {f.name for f in fields(RadarConfig)}:
+        assert value != getattr(RadarConfig(**GOOD_RADAR), name)
+        config = re.sub(rf"\n{name} = [^\n]*", "", GOOD_CONFIG)
+        path.write_text(config.replace("[radar]\n", f"[radar]\n{name} = {text}\n"))
+        got = load_experiment_spec(path).radar
+        assert got == RadarConfig(**{**GOOD_RADAR, name: value})
+    else:
+        assert value != getattr(SolverOptions(), name)
+        path.write_text(GOOD_CONFIG.replace(SOLVER_SECTION, f"[solver]\n{name} = {text}\n"))
+        got = load_experiment_spec(path).solver_opts
+        assert got == replace(SolverOptions(), **{name: value})
+    assert type(getattr(got, name)) is type(value)
 
 
 def test_load_experiment_spec_unknown_solver_key(tmp_path):
@@ -363,9 +385,3 @@ def test_worker_count_defaults_to_one(monkeypatch):
     monkeypatch.delenv("SFR_THREADS", raising=False)
     assert _worker_count(None) == 1
 
-
-def test_selftest_all_pass():
-    results = selftest(seed=1)
-    assert len(results) >= 5
-    for name, passed, detail in results:
-        assert passed, f"{name}: {detail}"

@@ -7,32 +7,11 @@ from sfradar import (
     ConfigError,
     PulseShape,
     RadarConfig,
-    carrier_frequency,
     pulse_shape_eval,
     range_axis,
 )
 
 C_EXACT = 299_792_458.0
-
-
-def test_carrier_frequency_values(cfg32):
-    assert carrier_frequency(cfg32, 0) == 5.0e9
-    assert carrier_frequency(cfg32, 5) == 5.08e9
-    assert carrier_frequency(cfg32, 31) == 5.496e9
-
-
-def test_carrier_frequency_strictly_increasing(cfg32):
-    freqs = [carrier_frequency(cfg32, n) for n in range(cfg32.n_pulses)]
-    steps = np.diff(freqs)
-    assert np.all(steps > 0)
-    assert np.allclose(steps, cfg32.delta_f)
-
-
-def test_carrier_frequency_out_of_range(cfg32):
-    with pytest.raises(ConfigError):
-        carrier_frequency(cfg32, -1)
-    with pytest.raises(ConfigError):
-        carrier_frequency(cfg32, cfg32.n_pulses)
 
 
 def test_range_axis_spacing_rounded_constants():

@@ -6,57 +6,13 @@ import pytest
 from sfradar import (
     ConfigError,
     PulseSchedule,
-    PulseShape,
-    RadarConfig,
     RangeProfile,
     build_sensing_system,
     build_trm,
-    projection_row,
     random_missing_schedule,
-    synthesize_echo_sample,
 )
 from sfradar.sensing import GRAM_BLOCK
-from conftest import sparse_profile
-
-
-def test_projection_row_zero_pulse_zero_instant():
-    # bandwidth = 2 * delta_f puts exact sinc nulls on the cell grid
-    cfg = RadarConfig(
-        f_c=5e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=32e6, l_bins=1
-    )
-    shape = PulseShape.ideal_sinc(32e6)
-    row = projection_row(cfg, shape, 0, 0.0)
-    assert row[0] == pytest.approx(1.0)
-    # cell 16 sits exactly one null spacing away from the sample instant
-    assert abs(row[16]) <= 1e-12
-
-
-def test_projection_row_half_rate_phase(cfg32, ideal_shape):
-    # pulse index N/2 alternates the carrier phase cell by cell
-    row = projection_row(cfg32, ideal_shape, 16, 0.0)
-    p = np.arange(cfg32.n_cells)
-    envelope = np.sinc(24e6 * (0.0 - p / (32 * 16e6)))
-    expected = envelope * (-1.0) ** p
-    assert np.allclose(row, expected, atol=1e-12)
-    assert np.max(np.abs(row.imag)) <= 1e-12
-
-
-def test_projection_row_inner_product_is_echo_sample(cfg32, ideal_shape):
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        values = sparse_profile(cfg32, 8, rng)
-        profile = RangeProfile(values, cfg32)
-        c_m = int(rng.integers(0, cfg32.n_pulses))
-        tau = float(rng.uniform(0, 18 * cfg32.delta_t))
-        row = projection_row(cfg32, ideal_shape, c_m, tau)
-        via_row = np.dot(row, values)
-        direct = synthesize_echo_sample(profile, c_m, tau, ideal_shape)
-        assert abs(via_row - direct) <= 1e-12 * max(abs(direct), 1.0)
-
-
-def test_projection_row_index_validation(cfg32, ideal_shape):
-    with pytest.raises(ConfigError):
-        projection_row(cfg32, ideal_shape, 32, 0.0)
+from conftest import sparse_profile, synthesize_echo_sample
 
 
 def build_system(cfg, shape, n_missing, rng, n_scatterers=8, seed=0):
@@ -81,14 +37,14 @@ def test_system_dimensions_missing_pulses(cfg32, ideal_shape):
     _, schedule, _, sys_ = build_system(cfg32, ideal_shape, 12, rng)
     assert schedule.m_count == 20
     assert sys_.phi.shape == (360, 384)
-    assert sys_.underdetermined
+    assert sys_.n_rows < sys_.n_cells
 
 
 def test_system_dimensions_full_pulses(cfg32, ideal_shape):
     rng = np.random.default_rng(23)
     _, _, _, sys_ = build_system(cfg32, ideal_shape, 0, rng)
     assert sys_.phi.shape == (576, 384)
-    assert not sys_.underdetermined
+    assert sys_.n_rows > sys_.n_cells
 
 
 def test_row_keys_are_sample_major(cfg32, ideal_shape):
@@ -102,11 +58,20 @@ def test_row_keys_are_sample_major(cfg32, ideal_shape):
 
 
 def test_rows_match_projection_row(cfg32, ideal_shape):
+    # the row of (pulse c, sample s) is the linear map from a profile to the
+    # echo of pulse c at s * delta_t: its inner product with the unit
+    # profile of cell p is the echo of a lone scatterer in cell p
     rng = np.random.default_rng(25)
     _, schedule, trm, sys_ = build_system(cfg32, ideal_shape, 20, rng)
+    unit = np.eye(cfg32.n_cells, dtype=complex)
     for i in (0, 5, len(sys_.row_keys) - 1):
         c_m, s = sys_.row_keys[i]
-        want = projection_row(cfg32, ideal_shape, c_m, s * cfg32.delta_t)
+        want = [
+            synthesize_echo_sample(
+                RangeProfile(unit[p], cfg32), c_m, s * cfg32.delta_t, ideal_shape
+            )
+            for p in range(cfg32.n_cells)
+        ]
         assert np.allclose(sys_.phi[i], want, atol=1e-15)
 
 

@@ -272,10 +272,16 @@ def test_prox_gradient_objective_monotone_without_acceleration():
     x_true, sys_ = random_system(6, 9, 5, 5, rng, k=4)  # 30 rows, 45 cells
     lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
     step = 1.0 / (1.01 * np.linalg.norm(sys_.phi, 2) ** 2)
-    _, _, history = prox_gradient_l1(
-        sys_, sys_.y, lam, step, np.zeros(45, dtype=complex),
-        500, 1e-12, accelerate=False, keep_history=True,
-    )
+
+    def objective(x):
+        r = sys_.y - sys_.phi @ x
+        return 0.5 * float(np.vdot(r, r).real) + lam * float(np.sum(np.abs(x)))
+
+    # plain ISTA one iteration per call, each call started from the last iterate
+    x, history = np.zeros(45, dtype=complex), []
+    for _ in range(500):
+        x, _ = prox_gradient_l1(sys_, sys_.y, lam, step, x, 1, 1e-12, accelerate=False)
+        history.append(objective(x))
     history = np.asarray(history)
     increases = np.diff(history)
     assert np.all(increases <= 1e-10 * np.maximum(history[:-1], 1.0))
@@ -390,16 +396,6 @@ def naive_idft(x):
             acc += x[i] * np.exp(2j * np.pi * i * k / n)
         out[k] = acc / n
     return out
-
-
-def test_idft_transform_identity():
-    from sfradar.solvers import idft
-
-    rng = np.random.default_rng(46)
-    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    via_conj = np.conj(np.fft.fft(np.conj(x))) / x.size
-    assert np.allclose(idft(x), via_conj, atol=1e-12)
-    assert np.allclose(idft(x), naive_idft(x), atol=1e-12)
 
 
 def test_stretch_zero_trm(cfg32, ideal_shape):
