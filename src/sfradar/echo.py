@@ -31,11 +31,6 @@ class RangeProfile:
                 f"n_pulses * l_bins = {self.cfg.n_cells}"
             )
 
-    @property
-    def sparsity(self) -> int:
-        """Number of cells with nonzero modulus."""
-        return int(np.count_nonzero(np.abs(self.values) > 0))
-
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -66,10 +61,6 @@ class PulseSchedule:
     @property
     def m_count(self) -> int:
         return len(self.valid_indices)
-
-    @property
-    def is_full(self) -> bool:
-        return self.m_count == self.n_pulses
 
 
 @dataclass(frozen=True)
@@ -137,20 +128,28 @@ def _shape_stack(envelopes: np.ndarray, n_pulses: int) -> np.ndarray:
     return np.ascontiguousarray(stacked)
 
 
+def _fold(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Shape-weighted profile folded over the coarse bins, (N x S).
+
+    Entry (n, s) sums E[s, lN + n] h[lN + n] over l: one real (S x L) by
+    (L x 2) product per fine index n.
+    """
+    n_pulses, _, l_bins = stack.shape
+    h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
+    h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
+    return (stack @ h).view(np.complex128)[..., 0]
+
+
 def _fold_fft(stack: np.ndarray, values: np.ndarray, pulse_indices) -> np.ndarray:
     """Noiseless echoes (M x S) of a profile for the given pulse indices.
 
     Cell p = lN + n carries the phase exp(-j 2 pi c n / N) for pulse c,
     which does not depend on the coarse bin l. So each sample folds the
-    shape-weighted profile over the coarse bins, one real (S x L) by
-    (L x 2) product per fine index n, and an N-point FFT over n gives
-    every pulse at once; the rows of pulse_indices are kept.
+    shape-weighted profile over the coarse bins (_fold), and an N-point
+    FFT over n gives every pulse at once; the rows of pulse_indices are
+    kept.
     """
-    n_pulses, _, l_bins = stack.shape
-    h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
-    h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
-    folded = (stack @ h).view(np.complex128)[..., 0]  # (N, S)
-    return np.fft.fft(folded, axis=0)[pulse_indices]
+    return np.fft.fft(_fold(stack, values), axis=0)[pulse_indices]
 
 
 def build_trm(

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SHIFT_BOUND_DIVISOR = 8  # alignment search spans +/- n_cells / 8
 PSL_FLOOR_DB = -300.0
@@ -59,12 +60,17 @@ def similarity(truth, estimate) -> SimilarityReport:
     best_score = 0.0
     best_shift = 0
     if norm_b > 0.0:
-        for d in _shift_range(a.size):
-            score = float(np.dot(a, np.roll(b, d))) / (norm_a * norm_b)
-            if score > best_score:
-                best_score = score
-                best_shift = d
-        best_score = min(best_score, 1.0)
+        n = a.size
+        bound = n // SHIFT_BOUND_DIVISOR
+        # row d + bound is np.roll(b, d), for d in [-bound, bound]: windows
+        # of b padded circularly by bound on each side, without a copy
+        padded = np.concatenate((b[n - bound:], b, b[:bound]))
+        scores = (sliding_window_view(padded, n)[::-1] @ a) / (norm_a * norm_b)
+        shifts = np.asarray(_shift_range(n))
+        scores = scores[shifts + bound]
+        k = int(np.argmax(scores))  # the first maximum in search order
+        best_score = min(float(scores[k]), 1.0)
+        best_shift = int(shifts[k])
 
     psl = peak_sidelobe_db(estimate) if norm_b > 0.0 else math.nan
     return SimilarityReport(

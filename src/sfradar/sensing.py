@@ -6,17 +6,18 @@ entries sample-major gives the observation vector y = Phi h. Row
 cells p: the pulse shape at that sample times a carrier phase that only
 depends on p mod N. So Phi h folds the shape-weighted profile over the
 coarse bins and takes one N-point FFT across the fine index (the kernel
-echo synthesis uses), Phi^H v runs the same steps backwards, and Phi is
-never stored. The dense matrix is still available, built on demand, as
-a test oracle. With pulses missing the system has fewer rows than
-unknowns and reconstruction needs a prior.
+echo synthesis uses), Phi^H v runs the same steps backwards, Phi^H Phi h
+does both without leaving the full pulse grid, and Phi is never stored.
+The dense matrix is still available, built on demand, as a test oracle.
+With pulses missing the system has fewer rows than unknowns and
+reconstruction needs a prior.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .echo import PulseSchedule, Trm, _fold_fft, _shape_matrix, _shape_stack
+from .echo import PulseSchedule, Trm, _fold, _fold_fft, _shape_matrix, _shape_stack
 from .model import ConfigError, PulseShape, RadarConfig
 
 # Columns of E^T E formed at a time when assembling the Gram matrix. A
@@ -89,6 +90,23 @@ class SensingSystem:
         """Phi^H v."""
         return _fold_ifft(self._stack, v, self.pulses)
 
+    @cached_property
+    def _pulse_mask(self) -> np.ndarray:
+        mask = np.zeros((self.n_pulses, 1))
+        mask[self.pulses] = 1.0
+        return mask
+
+    def normal(self, h: np.ndarray) -> np.ndarray:
+        """Phi^H Phi h, without leaving the full pulse grid.
+
+        Folds, takes the FFT over the pulses, zeroes the missing ones, takes
+        the unscaled inverse FFT and unfolds: adjoint(apply(h)) without the
+        gather into sample-major rows and the scatter back.
+        """
+        stack = self._stack
+        grid = np.fft.fft(_fold(stack, h), axis=0) * self._pulse_mask
+        return _unfold(stack, np.fft.ifft(grid, axis=0, norm="forward"))
+
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
 
@@ -147,20 +165,28 @@ class SensingSystem:
         return float(np.linalg.eigvalsh(self.gram_blocks())[:, -1].max())
 
 
+def _unfold(stack: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Adjoint of _fold: the profile that an (N x S) grid backs to.
+
+    Weights each sample by its shape, one real (L x S) by (S x 2) product
+    per fine index, and lays the result out over the cells lN + n.
+    """
+    n_pulses, s_count, _ = stack.shape
+    w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
+    g = (stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
+    return g.T.ravel()
+
+
 def _fold_ifft(stack: np.ndarray, v: np.ndarray, pulse_indices) -> np.ndarray:
     """Adjoint of _fold_fft: the profile that sample-major v (S x M) backs to.
 
     Scatters v onto the given pulses of a full (N x S) pulse grid, runs an
-    unscaled inverse FFT over the pulses, and weights each sample by its
-    shape: one real (L x S) by (S x 2) product per fine index.
+    unscaled inverse FFT over the pulses, and unfolds.
     """
     n_pulses, s_count, _ = stack.shape
     grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
     grid[pulse_indices] = v.reshape(s_count, -1).T
-    grid = np.fft.ifft(grid, axis=0, norm="forward")
-    w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
-    g = (stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
-    return g.T.ravel()
+    return _unfold(stack, np.fft.ifft(grid, axis=0, norm="forward"))
 
 
 def _pulse_gram(kernels: np.ndarray, pulse_indices) -> np.ndarray:

@@ -63,6 +63,50 @@ def test_similarity_matches_brute_force_on_random_profiles():
         assert got == pytest.approx(min(want, 1.0), abs=1e-12)
 
 
+def shift_search_oracle(a, b):
+    """(score, shift) of the loop over shifts 0, -1, 1, -2, 2, ... to n // 8:
+    the first strictly best shift wins, so ties go to the smallest |d|, -d
+    before +d."""
+    a = np.abs(np.asarray(a))
+    b = np.abs(np.asarray(b))
+    n = a.size
+    cells = np.arange(n)
+    denom = np.linalg.norm(a) * np.linalg.norm(b)
+    best, best_shift = 0.0, 0
+    for d in [0] + [s for k in range(1, n // 8 + 1) for s in (-k, k)]:
+        score = float(np.dot(a, b[(cells - d) % n])) / denom
+        if score > best:
+            best, best_shift = score, d
+    return best, best_shift
+
+
+@pytest.mark.parametrize("n", [384, 1024])
+def test_similarity_shift_search_matches_loop_oracle(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        truth = np.zeros(n, dtype=complex)
+        cells = rng.choice(n, n // 16, replace=False)
+        truth[cells] = rng.standard_normal(cells.size) + 1j * rng.standard_normal(cells.size)
+        # a shifted copy with spurious cells, as a misplaced estimate looks
+        estimate = np.roll(truth, rng.integers(-(n // 8), n // 8 + 1))
+        extra = rng.choice(n, n // 32, replace=False)
+        estimate[extra] += 0.3 * rng.standard_normal(extra.size)
+        report = similarity(truth, estimate)
+        score, shift = shift_search_oracle(truth, estimate)
+        assert report.similarity == pytest.approx(min(score, 1.0), rel=1e-12)
+        assert report.alignment_shift == shift
+
+
+def test_similarity_shift_tie_resolves_to_negative_shift():
+    truth = np.zeros(64, dtype=complex)
+    truth[20] = 1.0
+    estimate = np.zeros(64, dtype=complex)
+    estimate[[17, 23]] = 1.0  # shifts -3 and +3 align one spike each
+    report = similarity(truth, estimate)
+    assert report.alignment_shift == -3
+    assert report.similarity == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
 def test_similarity_symmetric():
     rng = np.random.default_rng(54)
     a = rng.standard_normal(80) + 1j * rng.standard_normal(80)

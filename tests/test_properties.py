@@ -152,6 +152,16 @@ def test_adjoint_identity(case, seed):
 
 
 @PROPERTY
+@given(systems(), st.integers(0, 2**32 - 1))
+def test_normal_is_adjoint_of_apply(case, seed):
+    _, _, sys_ = case
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(sys_.n_cells) + 1j * rng.standard_normal(sys_.n_cells)
+    want = sys_.adjoint(sys_.apply(h))
+    assert np.linalg.norm(sys_.normal(h) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@PROPERTY
 @given(systems(full=True))
 def test_operator_norm_sq_is_exact(case):
     # on a full schedule the full train's norm is this system's

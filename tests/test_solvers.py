@@ -18,6 +18,7 @@ from sfradar import (
     solve_sparse_l1,
     solve_stretch_idft,
 )
+from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
 from sfradar.solvers import operator_norm_sq, prox_gradient_l1
 from conftest import sparse_profile
 
@@ -232,6 +233,21 @@ def test_sparse_converged_meets_budget(cfg32, ideal_shape):
     # residual reported from the returned estimate, not solver internals
     manual = float(np.linalg.norm(sys_.y - sys_.phi @ rec.h_est))
     assert rec.residual_l2 == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("trial", [0, 2, 14])
+def test_sparse_many_missing_pulses_converge_quickly(cfg32, trial):
+    # README gate, 20 of 32 pulses missing at 15 dB: without the momentum
+    # restart these trials oscillate through 433, 527 and 660 iterations
+    spec = ExperimentSpec(
+        radar=cfg32, target=SyntheticSparse(24), sweep=(20,), snr_db=(15.0,),
+        trials_per_point=trial + 1, seed=1, solvers=("sparse_l1",),
+    )
+    _, _, sys_ = draw_trial(spec, 20, 15.0, trial)
+    rec = solve_sparse_l1(sys_, spec.solver_opts)
+    assert rec.converged
+    assert rec.residual_l2 <= rec.epsilon_used
+    assert rec.iterations <= 260
 
 
 def test_sparse_infeasible_budget_returns_best_iterate():
