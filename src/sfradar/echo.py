@@ -9,6 +9,7 @@ bulk gate delay never enters the numerics.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,11 +115,24 @@ class Trm:
             )
 
 
-def _shape_matrix(cfg: RadarConfig, shape: PulseShape, instants) -> np.ndarray:
-    """Pulse shape at (sample instant - cell delay) for all instants/cells."""
-    tau = np.asarray(instants, dtype=float)[:, None]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
+def _shape_arrays(cfg: RadarConfig, shape: PulseShape) -> tuple:
+    """The shape matrix E (S x NL) of a radar and its (N, S, L) stack.
+
+    E[s, p] is the pulse shape at (sample instant s - delay of cell p).
+    Both depend on the two frozen configs alone, so they are built once
+    per value of (cfg, shape) and shared, read-only, by every trial: its
+    echo synthesis and its sensing system.
+    """
+    tau = np.arange(cfg.n_samples)[:, None] * cfg.delta_t
     delays = np.arange(cfg.n_cells, dtype=float)[None, :] * cfg.fine_delay_spacing
-    return pulse_shape_eval(shape, tau - delays)
+    envelopes = pulse_shape_eval(shape, tau - delays)
+    return _read_only(envelopes), _read_only(_shape_stack(envelopes, cfg.n_pulses))
 
 
 def _shape_stack(envelopes: np.ndarray, n_pulses: int) -> np.ndarray:
@@ -173,7 +187,7 @@ def build_trm(
         )
     s_count = cfg.n_samples
     instants = np.arange(s_count) * cfg.delta_t
-    stack = _shape_stack(_shape_matrix(cfg, shape, instants), cfg.n_pulses)
+    _, stack = _shape_arrays(cfg, shape)
     data = _fold_fft(stack, profile.values, list(schedule.valid_indices))
 
     sigma = 0.0
@@ -197,13 +211,16 @@ def build_trm(
 
 
 def _unit_noise(seed: int, pulse_indices, s_count: int) -> np.ndarray:
-    """Unit-power circular complex Gaussian draws keyed per (pulse, sample)."""
-    rows = []
-    for c_m in pulse_indices:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, int(c_m)]))
-        z = rng.standard_normal((2, s_count))
-        rows.append((z[0] + 1j * z[1]) / np.sqrt(2.0))
-    return np.stack(rows, axis=0)
+    """Unit-power circular complex Gaussian draws keyed per (pulse, sample).
+
+    Pulse c draws its S real parts, then its S imaginary parts, from a
+    PCG64 seeded by SeedSequence([seed, c]), straight into its row.
+    """
+    z = np.empty((len(pulse_indices), 2, s_count))
+    for row, c_m in zip(z, pulse_indices):
+        bits = np.random.PCG64(np.random.SeedSequence([seed, int(c_m)]))
+        np.random.Generator(bits).standard_normal(out=row)
+    return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 
 def random_missing_schedule(

@@ -146,10 +146,16 @@ def export_profile(result, axis: np.ndarray, path) -> None:
         raise ValueError(
             f"profile has {values.size} cells but axis has {axis.size}"
         )
+    # libm's hypot and atan2 per cell: numpy's vectorised loops may round
+    # the last bit differently, and nine digits can show it
+    table = np.column_stack([
+        axis,
+        list(map(abs, values.tolist())),
+        list(map(math.atan2, values.imag.tolist(), values.real.tolist())),
+    ])
     with open(path, "w", encoding="ascii") as f:
         f.write(PROFILE_HEADER + "\n")
-        for r, z in zip(axis, values):
-            f.write(f"{r:.9g},{abs(z):.9g},{math.atan2(z.imag, z.real):.9g}\n")
+        f.write(("%.9g,%.9g,%.9g\n" * axis.size) % tuple(table.ravel().tolist()))
 
 
 def load_profile_csv(path) -> np.ndarray:

@@ -6,24 +6,73 @@ entries sample-major gives the observation vector y = Phi h. Row
 cells p: the pulse shape at that sample times a carrier phase that only
 depends on p mod N. So Phi h folds the shape-weighted profile over the
 coarse bins and takes one N-point FFT across the fine index (the kernel
-echo synthesis uses), Phi^H v runs the same steps backwards, Phi^H Phi h
-does both without leaving the full pulse grid, and Phi is never stored.
-The dense matrix is still available, built on demand, as a test oracle.
-With pulses missing the system has fewer rows than unknowns and
-reconstruction needs a prior.
+echo synthesis uses), Phi^H v runs the same steps backwards, and
+Phi^H Phi h folds, multiplies by the schedule's N x N circulant P^H P and
+unfolds; Phi is never stored. The dense matrix is still available, built
+on demand, as a test oracle. With pulses missing the system has fewer
+rows than unknowns and reconstruction needs a prior.
+
+What depends on the shape matrix alone is a _Factors, built once per
+(RadarConfig, PulseShape) value and shared by every system of that radar.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .echo import PulseSchedule, Trm, _fold, _fold_fft, _shape_matrix, _shape_stack
+from .echo import (
+    PulseSchedule,
+    Trm,
+    _fold,
+    _fold_fft,
+    _read_only,
+    _shape_arrays,
+    _shape_stack,
+)
 from .model import ConfigError, PulseShape, RadarConfig
 
 # Columns of E^T E formed at a time when assembling the Gram matrix. A
 # full NL x NL real temporary beside the result raised the peak RSS of a
 # 1024-cell sweep by about 7 MB (7%); a 128-column block needs at most 1 MB.
 GRAM_BLOCK = 128
+
+
+class _Factors:
+    """The read-only arrays of Phi that depend on the shape matrix alone.
+
+    The (N, S, L) stack, the full train's blocks (gram_blocks) and their
+    top eigenvalue, and, built on first use, the row form's kernels and
+    each ridge's complement-form factors. No schedule or observation
+    enters, so one instance serves every trial of a radar.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+        self.blocks = _read_only(stack.shape[0] * (stack.transpose(0, 2, 1) @ stack))
+        self.complement = lru_cache(maxsize=4)(self._complement)
+
+    @cached_property
+    def norm_sq(self) -> float:
+        return float(np.linalg.eigvalsh(self.blocks)[:, -1].max())
+
+    @cached_property
+    def row_kernels(self) -> np.ndarray:
+        """FFT over n of stack[n] stack[n]^T, the kernels of Phi Phi^H."""
+        stack = self.stack
+        return _read_only(np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0))
+
+    def _complement(self, ridge: float) -> tuple:
+        """(A^-1, FFT over n of -stack[n] A_n^-1 stack[n]^T), A = blocks + ridge I."""
+        stack = self.stack
+        a_inv = np.linalg.inv(self.blocks + ridge * np.eye(stack.shape[2]))
+        kernels = np.fft.fft(-stack @ a_inv @ stack.transpose(0, 2, 1), axis=0)
+        return _read_only(a_inv), _read_only(kernels)
+
+
+@lru_cache(maxsize=8)
+def _radar_factors(cfg: RadarConfig, shape: PulseShape) -> _Factors:
+    """The shared _Factors of a radar and pulse shape, keyed by their values."""
+    return _Factors(_shape_arrays(cfg, shape)[1])
 
 
 class SensingSystem:
@@ -37,7 +86,9 @@ class SensingSystem:
     The system is matrix-free: it keeps the shape matrix E (envelopes,
     S x NL), the valid pulse indices and N, and applies Phi and Phi^H by
     fold-and-FFT. Row s*M + m of Phi is E[s] * P[m], with
-    P[m, p] = exp(-j 2 pi pulses[m] p / N).
+    P[m, p] = exp(-j 2 pi pulses[m] p / N). build_sensing_system hands it
+    its radar's shared factors; a system constructed directly derives its
+    own from E on first use.
     """
 
     def __init__(self, y, noise_sigma, envelopes, pulses, n_pulses):
@@ -75,8 +126,23 @@ class SensingSystem:
         return (e[:, None, :] * phases[None, :, :]).reshape(-1, self.n_cells)
 
     @cached_property
-    def _stack(self) -> np.ndarray:
-        return _shape_stack(self.envelopes, self.n_pulses)
+    def _factors(self) -> _Factors:
+        return _Factors(_shape_stack(self.envelopes, self.n_pulses))
+
+    @cached_property
+    def _circulant(self) -> np.ndarray:
+        """P^H P over the fine index, N x N: entry (n, n') is c[(n - n') mod N].
+
+        c is the unscaled inverse FFT of the valid-pulse mask, so this is
+        the N-point FFT, the zeroing of the missing pulses and the inverse
+        FFT as one Hermitian matrix.
+        """
+        n = self.n_pulses
+        mask = np.zeros(n)
+        mask[self.pulses] = 1.0
+        c = np.fft.ifft(mask, norm="forward")
+        k = np.arange(n)
+        return c[(k[:, None] - k[None, :]) % n]
 
     def all_finite(self) -> bool:
         """Whether y and the shape matrix, hence the operator, are all finite."""
@@ -84,45 +150,32 @@ class SensingSystem:
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """Phi h, sample-major like y."""
-        return _fold_fft(self._stack, h, self.pulses).ravel(order="F")
+        return _fold_fft(self._factors.stack, h, self.pulses).ravel(order="F")
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Phi^H v."""
-        return _fold_ifft(self._stack, v, self.pulses)
-
-    @cached_property
-    def _pulse_mask(self) -> np.ndarray:
-        mask = np.zeros((self.n_pulses, 1))
-        mask[self.pulses] = 1.0
-        return mask
+        return _fold_ifft(self._factors.stack, v, self.pulses)
 
     def normal(self, h: np.ndarray) -> np.ndarray:
         """Phi^H Phi h, without leaving the full pulse grid.
 
-        Folds, takes the FFT over the pulses, zeroes the missing ones, takes
-        the unscaled inverse FFT and unfolds: adjoint(apply(h)) without the
-        gather into sample-major rows and the scatter back.
+        Folds, multiplies by the circulant P^H P over the fine index and
+        unfolds: adjoint(apply(h)) without the FFTs, the gather into
+        sample-major rows and the scatter back.
         """
-        stack = self._stack
-        grid = np.fft.fft(_fold(stack, h), axis=0) * self._pulse_mask
-        return _unfold(stack, np.fft.ifft(grid, axis=0, norm="forward"))
+        stack = self._factors.stack
+        return _unfold(stack, self._circulant @ _fold(stack, h))
 
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
 
         From the factors this is (P^H P) * (E^T E), elementwise. P^H P is
-        circulant in the fine index: entry (p, q) is c[(p - q) mod N] with
-        c the unscaled inverse FFT of the valid-pulse mask, so it is one
-        N x N block tiled over the coarse bins. E^T E is folded in a block
-        of columns at a time, so the only NL x NL array is the result.
+        circulant in the fine index, so it is the N x N block of normal
+        tiled over the coarse bins. E^T E is folded in a block of columns
+        at a time, so the only NL x NL array is the result.
         """
-        n = self.n_pulses
-        mask = np.zeros(n)
-        mask[self.pulses] = 1.0
-        c = np.fft.ifft(mask, norm="forward")
-        k = np.arange(n)
-        l_bins = self.n_cells // n
-        g = np.tile(c[(k[:, None] - k[None, :]) % n], (l_bins, l_bins))
+        l_bins = self.n_cells // self.n_pulses
+        g = np.tile(self._circulant, (l_bins, l_bins))
         e = self.envelopes
         for j in range(0, g.shape[1], GRAM_BLOCK):
             g[:, j:j + GRAM_BLOCK] *= e.T @ e[:, j:j + GRAM_BLOCK]
@@ -135,10 +188,10 @@ class SensingSystem:
         fine index, so the full train's Phi^H Phi only couples cells with
         the same n = p mod N: block n is N stack[n]^T stack[n], over the
         coarse bins l of the cells p = lN + n. On a full schedule these
-        are the blocks of this system's Phi^H Phi.
+        are the blocks of this system's Phi^H Phi. The array is shared and
+        read-only.
         """
-        stack = self._stack
-        return self.n_pulses * (stack.transpose(0, 2, 1) @ stack)
+        return self._factors.blocks
 
     def row_gram(self) -> np.ndarray:
         """Phi Phi^H (S*M x S*M), sample-major like y, as a new array.
@@ -147,12 +200,11 @@ class SensingSystem:
         over the cells; the phase only depends on n = p mod N, so it comes
         from the S x S products stack[n] stack[n]^T (see _pulse_gram).
         """
-        stack = self._stack
-        return _pulse_gram(stack @ stack.transpose(0, 2, 1), self.pulses)
+        return _pulse_gram(self._factors.row_kernels, self.pulses)
 
-    @cached_property
+    @property
     def norm_sq(self) -> float:
-        """Squared norm of the full pulse train's Phi, computed once.
+        """Squared norm of the full pulse train's Phi, computed once per radar.
 
         This system's Phi is that operator with the missing pulses' rows
         deleted, and deleting rows cannot raise the top singular value, so
@@ -162,7 +214,7 @@ class SensingSystem:
         shape, not on the schedule. The sparse route takes its step from it:
         a bound above the exact norm only shortens the step.
         """
-        return float(np.linalg.eigvalsh(self.gram_blocks())[:, -1].max())
+        return self._factors.norm_sq
 
 
 def _unfold(stack: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -189,16 +241,15 @@ def _fold_ifft(stack: np.ndarray, v: np.ndarray, pulse_indices) -> np.ndarray:
     return _unfold(stack, np.fft.ifft(grid, axis=0, norm="forward"))
 
 
-def _pulse_gram(kernels: np.ndarray, pulse_indices) -> np.ndarray:
+def _pulse_gram(b: np.ndarray, pulse_indices) -> np.ndarray:
     """Sample-major matrix over (sample, pulse) pairs from N real S x S kernels.
 
     Entry (s, m; s', m') is sum_n exp(-j 2 pi (c_m - c_m') n / N) kernels[n, s, s'],
-    that is B[(c_m - c_m') mod N, s, s'] with B the FFT of the kernels over
-    n. Each pulse m gathers its row of B straight into the final
-    (S, M, S, M) layout, so the only other array of note is B (N x S x S).
+    that is b[(c_m - c_m') mod N, s, s'] with b the FFT of the kernels over
+    n, which the caller passes. Each pulse m gathers its row of b straight
+    into the final (S, M, S, M) layout.
     """
-    n_pulses, s_count, _ = kernels.shape
-    b = np.fft.fft(kernels, axis=0)
+    n_pulses, s_count, _ = b.shape
     k = (pulse_indices[:, None] - pulse_indices[None, :]) % n_pulses
     m_count = k.shape[0]
     g = np.empty((s_count, m_count, s_count, m_count), dtype=np.complex128)
@@ -247,7 +298,9 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     (A - U^H U)^-1 = A^-1 + A^-1 U^H (I - U A^-1 U^H)^-1 U A^-1. A^-1 is N
     inverses of L x L; the capacitance matrix I - U A^-1 U^H comes from the
     row_gram construction over stack[n] A_n^-1 stack[n]^T. U and U^H are the
-    fold-and-FFT kernels restricted to the missing pulses.
+    fold-and-FFT kernels restricted to the missing pulses. A^-1 and the
+    capacitance kernels depend on the radar and the ridge only, and come
+    from the shared factors.
     """
     form = _normal_form(sys)
     if form == "rows":
@@ -259,12 +312,11 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
         g = sys.gram()
         g[np.diag_indices_from(g)] += ridge
         return np.linalg.solve(g, rhs)
-    stack = sys._stack
-    n_pulses, _, l_bins = stack.shape
-    a_inv = np.linalg.inv(sys.gram_blocks() + ridge * np.eye(l_bins))
-    missing = np.setdiff1d(np.arange(n_pulses), sys.pulses)
+    stack = sys._factors.stack
+    a_inv, kernels = sys._factors.complement(ridge)
+    missing = np.setdiff1d(np.arange(sys.n_pulses), sys.pulses)
     x = _blocks_apply(a_inv, rhs)
-    cap = _pulse_gram(-stack @ a_inv @ stack.transpose(0, 2, 1), missing)
+    cap = _pulse_gram(kernels, missing)
     cap[np.diag_indices_from(cap)] += 1.0
     z = np.linalg.solve(cap, _fold_fft(stack, x, missing).ravel(order="F"))
     return x + _blocks_apply(a_inv, _fold_ifft(stack, z, missing))
@@ -296,11 +348,12 @@ def build_sensing_system(
     if tuple(trm.row_pulse_indices) != tuple(schedule.valid_indices):
         raise ConfigError("TRM row pulse indices do not match the schedule")
 
-    instants = np.arange(s_count) * cfg.delta_t
-    return SensingSystem(
+    sys = SensingSystem(
         y=trm.data.flatten(order="F"),
         noise_sigma=trm.noise_sigma,
-        envelopes=_shape_matrix(cfg, shape, instants),
+        envelopes=_shape_arrays(cfg, shape)[0],
         pulses=schedule.valid_indices,
         n_pulses=cfg.n_pulses,
     )
+    sys._factors = _radar_factors(cfg, shape)
+    return sys

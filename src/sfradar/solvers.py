@@ -148,6 +148,7 @@ def prox_gradient_l1(
     b = op.adjoint(y)
     t = 1.0
     iters = 0
+    tol_sq = rel_change_tol * rel_change_tol
     for k in range(max_iters):
         grad = op.normal(z) - b
         x_new = soft_threshold(z - step * grad, lam * step)
@@ -162,9 +163,9 @@ def prox_gradient_l1(
             t = t_new
         else:
             z = x_new
-        change = float(np.linalg.norm(delta))
         x = x_new
-        if change < rel_change_tol * max(float(np.linalg.norm(x)), 1e-12):
+        # ||delta|| < tol * max(||x||, 1e-12), on squared norms
+        if np.vdot(delta, delta).real < tol_sq * max(np.vdot(x, x).real, 1e-24):
             break
     return x, iters
 

@@ -1,10 +1,12 @@
 import os
 import re
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from sfradar import echo, sensing
 from sfradar import (
     ConfigError,
     ExperimentSpec,
@@ -100,10 +102,51 @@ def test_run_experiment_deterministic(tiny_spec):
     assert a == b
 
 
-def test_run_experiment_thread_count_invariant(tiny_spec):
+def test_run_experiment_thread_count_invariant(tiny_spec, monkeypatch):
+    # the threads first, on a cold radar cache and with frequent switches,
+    # so that they race to build the shared factors
+    echo._shape_arrays.cache_clear()
+    sensing._radar_factors.cache_clear()
+    monkeypatch.setenv("SFR_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = rows_without_walltime(run_experiment(tiny_spec))
+    finally:
+        sys.setswitchinterval(interval)
     serial = rows_without_walltime(run_experiment(tiny_spec, workers=1))
-    threaded = rows_without_walltime(run_experiment(tiny_spec, workers=4))
     assert serial == threaded
+
+
+def test_run_experiment_builds_radar_factors_once(monkeypatch):
+    # a radar no other test builds, so no earlier trial made its factors
+    cfg = RadarConfig(
+        f_c=5.123e9, delta_f=16e6, n_pulses=16, pulse_bandwidth=24e6, l_bins=3,
+        q_start=5,
+    )
+    spec = ExperimentSpec(
+        radar=cfg, target=SyntheticSparse(4), sweep=(0, 4, 8), snr_db=15.0,
+        trials_per_point=3, seed=5, solvers=METHODS,
+    )
+    shape_evals, eig_calls = [], []
+    pulse_shape_eval, eigvalsh = echo.pulse_shape_eval, np.linalg.eigvalsh
+
+    def counted_shape(*args):
+        shape_evals.append(args)
+        return pulse_shape_eval(*args)
+
+    def counted_eigvalsh(*args):
+        eig_calls.append(args)
+        return eigvalsh(*args)
+
+    monkeypatch.setattr(echo, "pulse_shape_eval", counted_shape)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    records = run_experiment(spec, workers=1)
+    assert len(records) == 9 * len(METHODS)
+    # the shape matrix and the full train's norm depend on (radar, shape)
+    # alone: nine trials evaluate each once
+    assert len(shape_evals) == 1
+    assert len(eig_calls) == 1
 
 
 def test_run_experiment_sweep_insertion_invariance(small_cfg):

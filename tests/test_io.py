@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,31 @@ def test_export_profile_round_trip(tmp_path, cfg32):
     loaded = load_profile_csv(dest)
     assert loaded.shape == values.shape
     assert np.max(np.abs(loaded - values)) <= 1e-8 * np.max(np.abs(values))
+
+
+def test_export_profile_bytes_match_per_row_formatting(tmp_path):
+    rng = np.random.default_rng(63)
+    n = 400
+    values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(
+        -300, 300, n
+    )
+    values[:40] = 0.0
+    values[40:50] = complex(-0.0, -0.0)
+    values[50:70] = -rng.uniform(0.1, 5.0, 20)  # phase +pi
+    values.imag[60:70] = -0.0  # phase -pi
+    values[70:75] = [5e-324, 1e-310j, 1.7e308, -1.7e308j, 1e-300 + 1e300j]
+    axis = np.linspace(1234.5, 1234.5 + 0.29 * (n - 1), n)
+    dest = tmp_path / "profile.csv"
+    export_profile(values, axis, dest)
+
+    expected = "range_m,magnitude,phase_rad\n" + "".join(
+        f"{r:.9g},{abs(z):.9g},{math.atan2(z.imag, z.real):.9g}\n"
+        for r, z in zip(axis, values)
+    )
+    assert dest.read_bytes() == expected.encode("ascii")
+    assert {"3.14159265", "-3.14159265"} <= {
+        ln.split(",")[2] for ln in expected.splitlines()[1:]
+    }
 
 
 def test_export_profile_accepts_result_and_profile(tmp_path, cfg32):

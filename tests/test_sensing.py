@@ -129,6 +129,19 @@ def test_no_dead_columns(cfg32, ideal_shape):
     assert np.all(np.isfinite(norms))
 
 
+def test_shared_factors_are_read_only(cfg32, ideal_shape):
+    rng = np.random.default_rng(26)
+    _, _, _, sys_ = build_system(cfg32, ideal_shape, 4, rng)
+    _, _, _, other = build_system(cfg32, ideal_shape, 20, rng, seed=1)
+    # every system of one radar and pulse shape holds the same arrays
+    assert other.envelopes is sys_.envelopes
+    assert other.gram_blocks() is sys_.gram_blocks()
+    with pytest.raises(ValueError, match="read-only"):
+        sys_.envelopes[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sys_.gram_blocks()[0] = 0.0
+
+
 def test_system_rejects_mismatched_trm(cfg32, ideal_shape):
     rng = np.random.default_rng(29)
     values = sparse_profile(cfg32, 4, rng)

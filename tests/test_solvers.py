@@ -109,11 +109,14 @@ def test_operator_norm_sq_cached_on_system(cfg32, ideal_shape, monkeypatch):
     assert first == pytest.approx(full_train_norm_sq(cfg32, ideal_shape), rel=1e-10)
     assert first >= np.linalg.norm(sys_.phi, 2) ** 2 * (1 - 1e-12)
 
-    def no_blocks(self):
-        raise AssertionError("norm recomputed for a system already measured")
+    def no_eigvalsh(*args):
+        raise AssertionError("norm recomputed for a radar already measured")
 
-    monkeypatch.setattr(SensingSystem, "gram_blocks", no_blocks)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     assert operator_norm_sq(sys_) == first
+    # another schedule of the same radar and pulse shape shares it
+    _, _, other = radar_system(cfg32, ideal_shape, 20, rng, 24, seed=3)
+    assert operator_norm_sq(other) == first
 
 
 @pytest.mark.parametrize("n_missing", [0, 4, 8, 12, 16, 20])
@@ -190,6 +193,26 @@ def test_large_gate_least_squares_stays_below_one_column_gram(monkeypatch):
     gram[np.diag_indices_from(gram)] += ridge
     dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
     assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("n_missing", [0, 8, 20])
+def test_ls_ridge_values_on_one_radar_match_dense(cfg32, ideal_shape, n_missing):
+    # complement form at 0 and 8 missing, row form at 20; the ridge-shifted
+    # factors are kept per ridge, so the second value must not reuse the first
+    from sfradar import NoiseModel
+
+    rng = np.random.default_rng(50)
+    _, _, sys_ = radar_system(
+        cfg32, ideal_shape, n_missing, rng, 24, noise=NoiseModel(snr_db=15.0, seed=2)
+    )
+    phi = sys_.phi
+    gram = phi.conj().T @ phi
+    rhs = phi.conj().T @ sys_.y
+    norm = operator_norm_sq(sys_)
+    for ridge in (1e-6 * norm, 1e-2 * norm, 1e-6 * norm):
+        h = solve_least_squares(sys_, SolverOptions(ls_ridge=ridge)).h_est
+        dense = np.linalg.solve(gram + ridge * np.eye(sys_.n_cells), rhs)
+        assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
 # -- sparse recovery ----------------------------------------------------------
