@@ -4,12 +4,13 @@ A complex reflectivity profile over the fine range cells, sampled by a
 train of stepped-frequency pulses, produces a target response matrix
 (TRM): one row per valid pulse, one column per fast-time sample. All
 sample instants are referenced to the start of the range gate, so the
-bulk gate delay never enters the numerics.
+bulk gate delay never enters the numerics. The echoes come from the
+radar model (_Radar) whose kernels are also the sensing operator's.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,50 +121,108 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=8)
-def _shape_arrays(cfg: RadarConfig, shape: PulseShape) -> tuple:
-    """The shape matrix E (S x NL) of a radar and its (N, S, L) stack.
+class _Radar:
+    """The part of y = Phi h fixed by the radar and the pulse shape alone.
 
-    E[s, p] is the pulse shape at (sample instant s - delay of cell p).
-    Both depend on the two frozen configs alone, so they are built once
-    per value of (cfg, shape) and shared, read-only, by every trial: its
-    echo synthesis and its sensing system.
+    envelopes is the shape matrix E (S x NL), E[s, p] the pulse shape at
+    sample instant s less the delay of cell p; stack is E as (N, S, L),
+    [n, s, l] = E[s, lN + n]. Both are read-only and checked finite here.
+    Echo synthesis and every sensing system of the radar share one
+    instance: its kernels, and the full train's blocks and norm, the row
+    kernels and the per-ridge complement factors, built on first use.
     """
+
+    def __init__(self, envelopes: np.ndarray, n_pulses: int):
+        if not np.all(np.isfinite(envelopes)):
+            raise ConfigError("pulse shape matrix has non-finite entries")
+        s_count = envelopes.shape[0]
+        stack = envelopes.reshape(s_count, -1, n_pulses).transpose(2, 0, 1)
+        self.envelopes = _read_only(envelopes)
+        self.stack = _read_only(np.ascontiguousarray(stack))
+        self.n_pulses = n_pulses
+        self.complement = lru_cache(maxsize=4)(self._complement)
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Shape-weighted profile folded over the coarse bins, (N x S).
+
+        Entry (n, s) sums E[s, lN + n] h[lN + n] over l: one real (S x L) by
+        (L x 2) product per fine index n.
+        """
+        n_pulses, _, l_bins = self.stack.shape
+        h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
+        h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
+        return (self.stack @ h).view(np.complex128)[..., 0]
+
+    def unfold(self, grid: np.ndarray) -> np.ndarray:
+        """Adjoint of fold: the profile that an (N x S) grid backs to.
+
+        Weights each sample by its shape, one real (L x S) by (S x 2) product
+        per fine index, and lays the result out over the cells lN + n.
+        """
+        n_pulses, s_count, _ = self.stack.shape
+        w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
+        g = (self.stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
+        return g.T.ravel()
+
+    def echoes(self, values: np.ndarray, pulse_indices) -> np.ndarray:
+        """Noiseless echoes (M x S) of a profile for the given pulse indices.
+
+        Cell p = lN + n carries the phase exp(-j 2 pi c n / N) for pulse c,
+        which does not depend on the coarse bin l. So each sample folds the
+        shape-weighted profile over the coarse bins, and an N-point FFT over
+        n gives every pulse at once; the rows of pulse_indices are kept.
+        """
+        return np.fft.fft(self.fold(values), axis=0)[pulse_indices]
+
+    def backproject(self, v: np.ndarray, pulse_indices) -> np.ndarray:
+        """Adjoint of echoes: the profile that sample-major v (S x M) backs to.
+
+        Scatters v onto the given pulses of a full (N x S) pulse grid, runs an
+        unscaled inverse FFT over the pulses, and unfolds.
+        """
+        n_pulses, s_count, _ = self.stack.shape
+        grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
+        grid[pulse_indices] = v.reshape(s_count, -1).T
+        return self.unfold(np.fft.ifft(grid, axis=0, norm="forward"))
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Phi^H Phi of the full pulse train as its N diagonal L x L blocks.
+
+        With every pulse present P^H P is N times the identity over the
+        fine index, so the full train's Phi^H Phi only couples cells with
+        the same n = p mod N: block n is N stack[n]^T stack[n], over the
+        coarse bins l of the cells p = lN + n.
+        """
+        stack = self.stack
+        return _read_only(stack.shape[0] * (stack.transpose(0, 2, 1) @ stack))
+
+    @cached_property
+    def norm_sq(self) -> float:
+        """Squared norm of the full pulse train's Phi, the largest top
+        eigenvalue of its blocks: one batched L x L eigvalsh."""
+        return float(np.linalg.eigvalsh(self.blocks)[:, -1].max())
+
+    @cached_property
+    def row_kernels(self) -> np.ndarray:
+        """FFT over n of stack[n] stack[n]^T, the kernels of Phi Phi^H."""
+        stack = self.stack
+        return _read_only(np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0))
+
+    def _complement(self, ridge: float) -> tuple:
+        """(A^-1, FFT over n of -stack[n] A_n^-1 stack[n]^T), A = blocks + ridge I."""
+        stack = self.stack
+        a_inv = np.linalg.inv(self.blocks + ridge * np.eye(stack.shape[2]))
+        kernels = np.fft.fft(-stack @ a_inv @ stack.transpose(0, 2, 1), axis=0)
+        return _read_only(a_inv), _read_only(kernels)
+
+
+@lru_cache(maxsize=8)
+def _radar_model(cfg: RadarConfig, shape: PulseShape) -> _Radar:
+    """The shared _Radar of a radar and pulse shape, keyed by their values."""
     tau = np.arange(cfg.n_samples)[:, None] * cfg.delta_t
     delays = np.arange(cfg.n_cells, dtype=float)[None, :] * cfg.fine_delay_spacing
-    envelopes = pulse_shape_eval(shape, tau - delays)
-    return _read_only(envelopes), _read_only(_shape_stack(envelopes, cfg.n_pulses))
-
-
-def _shape_stack(envelopes: np.ndarray, n_pulses: int) -> np.ndarray:
-    """Shape matrix E (S x NL) restacked as (N, S, L): [n, s, l] = E[s, lN + n]."""
-    s_count = envelopes.shape[0]
-    stacked = envelopes.reshape(s_count, -1, n_pulses).transpose(2, 0, 1)
-    return np.ascontiguousarray(stacked)
-
-
-def _fold(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Shape-weighted profile folded over the coarse bins, (N x S).
-
-    Entry (n, s) sums E[s, lN + n] h[lN + n] over l: one real (S x L) by
-    (L x 2) product per fine index n.
-    """
-    n_pulses, _, l_bins = stack.shape
-    h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
-    h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
-    return (stack @ h).view(np.complex128)[..., 0]
-
-
-def _fold_fft(stack: np.ndarray, values: np.ndarray, pulse_indices) -> np.ndarray:
-    """Noiseless echoes (M x S) of a profile for the given pulse indices.
-
-    Cell p = lN + n carries the phase exp(-j 2 pi c n / N) for pulse c,
-    which does not depend on the coarse bin l. So each sample folds the
-    shape-weighted profile over the coarse bins (_fold), and an N-point
-    FFT over n gives every pulse at once; the rows of pulse_indices are
-    kept.
-    """
-    return np.fft.fft(_fold(stack, values), axis=0)[pulse_indices]
+    return _Radar(pulse_shape_eval(shape, tau - delays), cfg.n_pulses)
 
 
 def build_trm(
@@ -187,8 +246,9 @@ def build_trm(
         )
     s_count = cfg.n_samples
     instants = np.arange(s_count) * cfg.delta_t
-    _, stack = _shape_arrays(cfg, shape)
-    data = _fold_fft(stack, profile.values, list(schedule.valid_indices))
+    data = _radar_model(cfg, shape).echoes(
+        profile.values, list(schedule.valid_indices)
+    )
 
     sigma = 0.0
     snr_db = None

@@ -295,10 +295,19 @@ def write_trials_csv(records, path) -> None:
 
 # -- configuration file -----------------------------------------------------
 
+# the keys each kind of [pulse_shape] and [target] reads besides kind; the
+# first kind is the default
+_KIND_KEYS = {
+    "pulse_shape": {
+        "ideal_sinc": set(),
+        "windowed_sinc": {"window", "truncation_halfwidth"},
+    },
+    "target": {"synthetic": {"n_scatterers"}, "file": {"path"}},
+}
+_KIND_REQUIRES = {"windowed_sinc": "truncation_halfwidth", "file": "path"}
 _SECTION_KEYS = {
     "radar": {f.name for f in fields(RadarConfig)},
-    "pulse_shape": {"kind", "window", "truncation_halfwidth"},
-    "target": {"kind", "n_scatterers", "path"},
+    **{name: {"kind"}.union(*kinds.values()) for name, kinds in _KIND_KEYS.items()},
     "experiment": {
         "sweep", "snr_db", "trials_per_point", "seed", "solvers", "valid_pulses",
     },
@@ -319,15 +328,37 @@ def _parse_list(raw: str, cast):
 def _read_fields(section, cls) -> dict:
     """The keys of a config section that name fields of dataclass cls.
 
-    Each value is read as its field's annotated type: bool, int, or else
-    float (an optional float field is annotated float | None).
+    Each value is read as its field's annotated type: bool, int, str, or
+    else float (an optional float field is annotated float | None).
     """
-    getters = {bool: section.getboolean, int: section.getint}
+    getters = {bool: section.getboolean, int: section.getint, str: section.get}
     return {
         f.name: getters.get(f.type, section.getfloat)(f.name)
         for f in fields(cls)
         if f.name in section
     }
+
+
+def _section_kind(section, path) -> str:
+    """The kind of a [pulse_shape] or [target] section, its keys checked.
+
+    A key that the kind does not read is an error, not ignored: a window
+    on an ideal sinc would otherwise load and change nothing.
+    """
+    kinds = _KIND_KEYS[section.name]
+    kind = section.get("kind", next(iter(kinds)))
+    if kind not in kinds:
+        raise ConfigError(f"{path}: unknown [{section.name}] kind {kind!r}")
+    for key in section:
+        if key != "kind" and key not in kinds[kind]:
+            raise ConfigError(
+                f"{path}: key {key!r} in [{section.name}] does not apply to "
+                f"kind {kind!r}"
+            )
+    need = _KIND_REQUIRES.get(kind)
+    if need is not None and need not in section:
+        raise ConfigError(f"{path}: [{section.name}] kind {kind!r} requires {need}")
+    return kind
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -360,41 +391,18 @@ def load_experiment_spec(path) -> ExperimentSpec:
             if key not in cp[section]:
                 raise ConfigError(f"{path}: missing key {key!r} in [{section}]")
 
+    # an optional section that is absent reads as empty
+    cp.read_dict({name: {} for name in _SECTION_KEYS.keys() - _REQUIRED.keys()})
+
     radar = RadarConfig(**_read_fields(cp["radar"], RadarConfig))
 
-    shape = None
-    if "pulse_shape" in cp:
-        s = cp["pulse_shape"]
-        kind = s.get("kind", "ideal_sinc")
-        if kind == "ideal_sinc":
-            shape = PulseShape.ideal_sinc(radar.pulse_bandwidth)
-        elif kind == "windowed_sinc":
-            if "truncation_halfwidth" not in s:
-                raise ConfigError(
-                    f"{path}: windowed_sinc requires truncation_halfwidth"
-                )
-            shape = PulseShape.windowed_sinc(
-                radar.pulse_bandwidth,
-                s.get("window", "rect"),
-                s.getfloat("truncation_halfwidth"),
-            )
-        else:
-            raise ConfigError(f"{path}: unknown pulse shape kind {kind!r}")
+    s = cp["pulse_shape"]
+    _section_kind(s, path)
+    shape = PulseShape(radar.pulse_bandwidth, **_read_fields(s, PulseShape))
 
-    target = SyntheticSparse()
-    if "target" in cp:
-        t = cp["target"]
-        kind = t.get("kind", "synthetic")
-        if kind == "synthetic":
-            target = SyntheticSparse(
-                t.getint("n_scatterers", DEFAULT_SCATTERERS)
-            )
-        elif kind == "file":
-            if "path" not in t:
-                raise ConfigError(f"{path}: target kind 'file' requires path")
-            target = FileTarget(t.get("path"))
-        else:
-            raise ConfigError(f"{path}: unknown target kind {kind!r}")
+    t = cp["target"]
+    target_cls = FileTarget if _section_kind(t, path) == "file" else SyntheticSparse
+    target = target_cls(**_read_fields(t, target_cls))
 
     e = cp["experiment"]
     raw_snr = e.get("snr_db").strip()
@@ -403,10 +411,6 @@ def load_experiment_spec(path) -> ExperimentSpec:
     else:
         values = _parse_list(raw_snr, float)
         snr_db = values[0] if len(values) == 1 else values
-
-    opts = SolverOptions()
-    if "solver" in cp:
-        opts = SolverOptions(**_read_fields(cp["solver"], SolverOptions))
 
     return ExperimentSpec(
         radar=radar,
@@ -418,7 +422,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
         solvers=(
             _parse_list(e.get("solvers"), str) if "solvers" in e else DEFAULT_SOLVERS
         ),
-        solver_opts=opts,
+        solver_opts=SolverOptions(**_read_fields(cp["solver"], SolverOptions)),
         shape=shape,
         valid_pulses=(
             _parse_list(e.get("valid_pulses"), int) if "valid_pulses" in e else None

@@ -12,23 +12,17 @@ unfolds; Phi is never stored. The dense matrix is still available, built
 on demand, as a test oracle. With pulses missing the system has fewer
 rows than unknowns and reconstruction needs a prior.
 
-What depends on the shape matrix alone is a _Factors, built once per
-(RadarConfig, PulseShape) value and shared by every system of that radar.
+The shape matrix and every kernel and factor that depends on it alone
+live in echo's _Radar, built once per (RadarConfig, PulseShape) value by
+_radar_model and shared by the echo synthesis and every system of that
+radar. A SensingSystem adds the observation and the schedule.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .echo import (
-    PulseSchedule,
-    Trm,
-    _fold,
-    _fold_fft,
-    _read_only,
-    _shape_arrays,
-    _shape_stack,
-)
+from .echo import PulseSchedule, Trm, _Radar, _radar_model
 from .model import ConfigError, PulseShape, RadarConfig
 
 # Columns of E^T E formed at a time when assembling the Gram matrix. A
@@ -37,66 +31,21 @@ from .model import ConfigError, PulseShape, RadarConfig
 GRAM_BLOCK = 128
 
 
-class _Factors:
-    """The read-only arrays of Phi that depend on the shape matrix alone.
-
-    The (N, S, L) stack, the full train's blocks (gram_blocks) and their
-    top eigenvalue, and, built on first use, the row form's kernels and
-    each ridge's complement-form factors. No schedule or observation
-    enters, so one instance serves every trial of a radar.
-    """
-
-    def __init__(self, stack: np.ndarray):
-        self.stack = stack
-        self.blocks = _read_only(stack.shape[0] * (stack.transpose(0, 2, 1) @ stack))
-        self.complement = lru_cache(maxsize=4)(self._complement)
-
-    @cached_property
-    def norm_sq(self) -> float:
-        return float(np.linalg.eigvalsh(self.blocks)[:, -1].max())
-
-    @cached_property
-    def row_kernels(self) -> np.ndarray:
-        """FFT over n of stack[n] stack[n]^T, the kernels of Phi Phi^H."""
-        stack = self.stack
-        return _read_only(np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0))
-
-    def _complement(self, ridge: float) -> tuple:
-        """(A^-1, FFT over n of -stack[n] A_n^-1 stack[n]^T), A = blocks + ridge I."""
-        stack = self.stack
-        a_inv = np.linalg.inv(self.blocks + ridge * np.eye(stack.shape[2]))
-        kernels = np.fft.fft(-stack @ a_inv @ stack.transpose(0, 2, 1), axis=0)
-        return _read_only(a_inv), _read_only(kernels)
-
-
-@lru_cache(maxsize=8)
-def _radar_factors(cfg: RadarConfig, shape: PulseShape) -> _Factors:
-    """The shared _Factors of a radar and pulse shape, keyed by their values."""
-    return _Factors(_shape_arrays(cfg, shape)[1])
-
-
 class SensingSystem:
     """Measurement operator Phi and observation vector y.
 
     Rows are ordered column-major over the TRM: all valid pulses of
-    sample s = 0 first, then s = 1, and so on. row_keys records the
-    (pulse index, sample index) of every row so the ordering is
-    reproducible downstream.
-
-    The system is matrix-free: it keeps the shape matrix E (envelopes,
-    S x NL), the valid pulse indices and N, and applies Phi and Phi^H by
-    fold-and-FFT. Row s*M + m of Phi is E[s] * P[m], with
-    P[m, p] = exp(-j 2 pi pulses[m] p / N). build_sensing_system hands it
-    its radar's shared factors; a system constructed directly derives its
-    own from E on first use.
+    sample s = 0 first, then s = 1, and so on, so row i is
+    (pulse pulses[i % M], sample i // M). The system is matrix-free: it
+    holds its radar's shared _Radar and adds the valid pulse indices,
+    their circulant and their gathers.
     """
 
-    def __init__(self, y, noise_sigma, envelopes, pulses, n_pulses):
+    def __init__(self, y, noise_sigma, radar: _Radar, pulses):
         self.y = y
         self.noise_sigma = noise_sigma
-        self.envelopes = envelopes
+        self.radar = radar
         self.pulses = np.asarray(pulses, dtype=np.intp)
-        self.n_pulses = n_pulses
 
     @property
     def n_rows(self) -> int:
@@ -104,14 +53,7 @@ class SensingSystem:
 
     @property
     def n_cells(self) -> int:
-        return self.envelopes.shape[1]
-
-    @cached_property
-    def row_keys(self) -> tuple:
-        m_count = self.pulses.size
-        return tuple(
-            (int(self.pulses[i % m_count]), i // m_count) for i in range(self.n_rows)
-        )
+        return self.radar.envelopes.shape[1]
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -121,13 +63,9 @@ class SensingSystem:
         """
         cells = np.arange(self.n_cells, dtype=float)
         pulses = self.pulses.astype(float)[:, None]
-        phases = np.exp(-2j * np.pi * pulses * cells / self.n_pulses)
-        e = self.envelopes
+        phases = np.exp(-2j * np.pi * pulses * cells / self.radar.n_pulses)
+        e = self.radar.envelopes
         return (e[:, None, :] * phases[None, :, :]).reshape(-1, self.n_cells)
-
-    @cached_property
-    def _factors(self) -> _Factors:
-        return _Factors(_shape_stack(self.envelopes, self.n_pulses))
 
     @cached_property
     def _circulant(self) -> np.ndarray:
@@ -137,7 +75,7 @@ class SensingSystem:
         the N-point FFT, the zeroing of the missing pulses and the inverse
         FFT as one Hermitian matrix.
         """
-        n = self.n_pulses
+        n = self.radar.n_pulses
         mask = np.zeros(n)
         mask[self.pulses] = 1.0
         c = np.fft.ifft(mask, norm="forward")
@@ -145,16 +83,16 @@ class SensingSystem:
         return c[(k[:, None] - k[None, :]) % n]
 
     def all_finite(self) -> bool:
-        """Whether y and the shape matrix, hence the operator, are all finite."""
-        return bool(np.all(np.isfinite(self.envelopes)) and np.all(np.isfinite(self.y)))
+        """Whether y is finite; the radar checked its shape matrix when built."""
+        return bool(np.all(np.isfinite(self.y)))
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """Phi h, sample-major like y."""
-        return _fold_fft(self._factors.stack, h, self.pulses).ravel(order="F")
+        return self.radar.echoes(h, self.pulses).ravel(order="F")
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Phi^H v."""
-        return _fold_ifft(self._factors.stack, v, self.pulses)
+        return self.radar.backproject(v, self.pulses)
 
     def normal(self, h: np.ndarray) -> np.ndarray:
         """Phi^H Phi h, without leaving the full pulse grid.
@@ -163,8 +101,7 @@ class SensingSystem:
         unfolds: adjoint(apply(h)) without the FFTs, the gather into
         sample-major rows and the scatter back.
         """
-        stack = self._factors.stack
-        return _unfold(stack, self._circulant @ _fold(stack, h))
+        return self.radar.unfold(self._circulant @ self.radar.fold(h))
 
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
@@ -174,24 +111,12 @@ class SensingSystem:
         tiled over the coarse bins. E^T E is folded in a block of columns
         at a time, so the only NL x NL array is the result.
         """
-        l_bins = self.n_cells // self.n_pulses
+        l_bins = self.n_cells // self.radar.n_pulses
         g = np.tile(self._circulant, (l_bins, l_bins))
-        e = self.envelopes
+        e = self.radar.envelopes
         for j in range(0, g.shape[1], GRAM_BLOCK):
             g[:, j:j + GRAM_BLOCK] *= e.T @ e[:, j:j + GRAM_BLOCK]
         return g
-
-    def gram_blocks(self) -> np.ndarray:
-        """Phi^H Phi of the full pulse train as its N diagonal L x L blocks.
-
-        With every pulse present P^H P is N times the identity over the
-        fine index, so the full train's Phi^H Phi only couples cells with
-        the same n = p mod N: block n is N stack[n]^T stack[n], over the
-        coarse bins l of the cells p = lN + n. On a full schedule these
-        are the blocks of this system's Phi^H Phi. The array is shared and
-        read-only.
-        """
-        return self._factors.blocks
 
     def row_gram(self) -> np.ndarray:
         """Phi Phi^H (S*M x S*M), sample-major like y, as a new array.
@@ -200,45 +125,7 @@ class SensingSystem:
         over the cells; the phase only depends on n = p mod N, so it comes
         from the S x S products stack[n] stack[n]^T (see _pulse_gram).
         """
-        return _pulse_gram(self._factors.row_kernels, self.pulses)
-
-    @property
-    def norm_sq(self) -> float:
-        """Squared norm of the full pulse train's Phi, computed once per radar.
-
-        This system's Phi is that operator with the missing pulses' rows
-        deleted, and deleting rows cannot raise the top singular value, so
-        the value is exact on a full schedule and an upper bound otherwise.
-        It is the largest top eigenvalue of the N blocks of gram_blocks, one
-        batched L x L eigvalsh, and it depends on the radar and the pulse
-        shape, not on the schedule. The sparse route takes its step from it:
-        a bound above the exact norm only shortens the step.
-        """
-        return self._factors.norm_sq
-
-
-def _unfold(stack: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Adjoint of _fold: the profile that an (N x S) grid backs to.
-
-    Weights each sample by its shape, one real (L x S) by (S x 2) product
-    per fine index, and lays the result out over the cells lN + n.
-    """
-    n_pulses, s_count, _ = stack.shape
-    w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
-    g = (stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
-    return g.T.ravel()
-
-
-def _fold_ifft(stack: np.ndarray, v: np.ndarray, pulse_indices) -> np.ndarray:
-    """Adjoint of _fold_fft: the profile that sample-major v (S x M) backs to.
-
-    Scatters v onto the given pulses of a full (N x S) pulse grid, runs an
-    unscaled inverse FFT over the pulses, and unfolds.
-    """
-    n_pulses, s_count, _ = stack.shape
-    grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
-    grid[pulse_indices] = v.reshape(s_count, -1).T
-    return _unfold(stack, np.fft.ifft(grid, axis=0, norm="forward"))
+        return _pulse_gram(self.radar.row_kernels, self.pulses)
 
 
 def _pulse_gram(b: np.ndarray, pulse_indices) -> np.ndarray:
@@ -279,8 +166,9 @@ def _normal_form(sys: SensingSystem) -> str:
     default sampling gives S*N = 1.5 NL, so the column form is only picked
     on oversampled gates, where it is the smallest.
     """
+    radar = sys.radar
     sizes = {
-        "complement": sys.envelopes.shape[0] * (sys.n_pulses - sys.pulses.size),
+        "complement": radar.envelopes.shape[0] * (radar.n_pulses - sys.pulses.size),
         "rows": sys.n_rows,
         "columns": sys.n_cells,
     }
@@ -300,7 +188,7 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     row_gram construction over stack[n] A_n^-1 stack[n]^T. U and U^H are the
     fold-and-FFT kernels restricted to the missing pulses. A^-1 and the
     capacitance kernels depend on the radar and the ridge only, and come
-    from the shared factors.
+    from sys.radar, which keeps them per ridge.
     """
     form = _normal_form(sys)
     if form == "rows":
@@ -312,14 +200,14 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
         g = sys.gram()
         g[np.diag_indices_from(g)] += ridge
         return np.linalg.solve(g, rhs)
-    stack = sys._factors.stack
-    a_inv, kernels = sys._factors.complement(ridge)
-    missing = np.setdiff1d(np.arange(sys.n_pulses), sys.pulses)
+    radar = sys.radar
+    a_inv, kernels = radar.complement(ridge)
+    missing = np.setdiff1d(np.arange(radar.n_pulses), sys.pulses)
     x = _blocks_apply(a_inv, rhs)
     cap = _pulse_gram(kernels, missing)
     cap[np.diag_indices_from(cap)] += 1.0
-    z = np.linalg.solve(cap, _fold_fft(stack, x, missing).ravel(order="F"))
-    return x + _blocks_apply(a_inv, _fold_ifft(stack, z, missing))
+    z = np.linalg.solve(cap, radar.echoes(x, missing).ravel(order="F"))
+    return x + _blocks_apply(a_inv, radar.backproject(z, missing))
 
 
 def build_sensing_system(
@@ -348,12 +236,9 @@ def build_sensing_system(
     if tuple(trm.row_pulse_indices) != tuple(schedule.valid_indices):
         raise ConfigError("TRM row pulse indices do not match the schedule")
 
-    sys = SensingSystem(
+    return SensingSystem(
         y=trm.data.flatten(order="F"),
         noise_sigma=trm.noise_sigma,
-        envelopes=_shape_arrays(cfg, shape)[0],
+        radar=_radar_model(cfg, shape),
         pulses=schedule.valid_indices,
-        n_pulses=cfg.n_pulses,
     )
-    sys._factors = _radar_factors(cfg, shape)
-    return sys

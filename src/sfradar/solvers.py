@@ -105,10 +105,10 @@ def operator_norm_sq(op: SensingSystem) -> float:
     The top eigenvalue of the full train's Phi^H Phi, which is N diagonal
     L x L blocks over the fine index: exact on a full schedule and never
     below the largest squared singular value of Phi otherwise, since a
-    schedule only deletes rows. Computed once per system and kept
-    (SensingSystem.norm_sq), so later calls on the same system cost nothing.
+    schedule only deletes rows. Computed once per radar and pulse shape
+    (_Radar.norm_sq), so later calls on any of its systems cost nothing.
     """
-    return op.norm_sq
+    return op.radar.norm_sq
 
 
 def prox_gradient_l1(

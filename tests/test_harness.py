@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sfradar import echo, sensing
+from sfradar import echo
 from sfradar import (
     ConfigError,
     ExperimentSpec,
@@ -105,8 +105,7 @@ def test_run_experiment_deterministic(tiny_spec):
 def test_run_experiment_thread_count_invariant(tiny_spec, monkeypatch):
     # the threads first, on a cold radar cache and with frequent switches,
     # so that they race to build the shared factors
-    echo._shape_arrays.cache_clear()
-    sensing._radar_factors.cache_clear()
+    echo._radar_model.cache_clear()
     monkeypatch.setenv("SFR_THREADS", "8")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -401,6 +400,37 @@ def test_load_experiment_spec_windowed_shape(tmp_path):
     spec = load_experiment_spec(path)
     assert spec.shape.kind == "windowed_sinc"
     assert spec.shape.window == "hann"
+
+
+@pytest.mark.parametrize("section, key, kind", [
+    ("[pulse_shape]\nkind = ideal_sinc\nwindow = hann\n", "window", "ideal_sinc"),
+    ("[pulse_shape]\nkind = ideal_sinc\ntruncation_halfwidth = 8.3e-8\n",
+     "truncation_halfwidth", "ideal_sinc"),
+    ("[pulse_shape]\nwindow = hann\n", "window", "ideal_sinc"),
+    ("[target]\nkind = synthetic\npath = truth.csv\n", "path", "synthetic"),
+    ("[target]\nkind = file\npath = truth.csv\nn_scatterers = 4\n",
+     "n_scatterers", "file"),
+], ids=["ideal_window", "ideal_truncation", "default_window", "synthetic_path",
+        "file_n_scatterers"])
+def test_load_experiment_spec_rejects_key_the_kind_ignores(tmp_path, section, key, kind):
+    text = GOOD_CONFIG.replace("[target]\nkind = synthetic\nn_scatterers = 24\n", "")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text + "\n" + section)
+    with pytest.raises(ConfigError) as err:
+        load_experiment_spec(path)
+    assert repr(key) in str(err.value) and repr(kind) in str(err.value)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("[pulse_shape]\nkind = windowed_sinc\nwindow = hann\n", "truncation_halfwidth"),
+    ("[target]\nkind = file\n", "path"),
+], ids=["windowed_sinc", "file"])
+def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
+    text = GOOD_CONFIG.replace("[target]\nkind = synthetic\nn_scatterers = 24\n", "")
+    path = tmp_path / "exp.cfg"
+    path.write_text(text + "\n" + section)
+    with pytest.raises(ConfigError, match=f"requires {key}"):
+        load_experiment_spec(path)
 
 
 def test_load_experiment_spec_missing_file(tmp_path):

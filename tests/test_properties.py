@@ -197,7 +197,7 @@ def test_gram_blocks_are_the_fine_major_gram(case):
     order = (np.arange(l_bins)[None, :] * n + np.arange(n)[:, None]).ravel()
     gram = sys_.gram()[np.ix_(order, order)]
     blocks = np.zeros_like(gram)
-    for i, block in enumerate(sys_.gram_blocks()):
+    for i, block in enumerate(sys_.radar.blocks):
         blocks[i * l_bins:(i + 1) * l_bins, i * l_bins:(i + 1) * l_bins] = block
     scale = max(float(np.max(np.abs(gram))), np.finfo(float).tiny)
     assert np.max(np.abs(gram - blocks)) <= 1e-12 * scale

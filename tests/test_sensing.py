@@ -11,6 +11,7 @@ from sfradar import (
     build_trm,
     random_missing_schedule,
 )
+from sfradar.echo import _Radar
 from sfradar.sensing import GRAM_BLOCK
 from conftest import sparse_profile, synthesize_echo_sample
 
@@ -51,9 +52,11 @@ def test_row_keys_are_sample_major(cfg32, ideal_shape):
     rng = np.random.default_rng(24)
     _, schedule, trm, sys_ = build_system(cfg32, ideal_shape, 12, rng)
     m = schedule.m_count
+    # row i is (pulse pulses[i % M], sample i // M)
+    keys = [(int(sys_.pulses[i % m]), i // m) for i in range(sys_.n_rows)]
     # first block is sample 0 for every valid pulse, in schedule order
-    assert sys_.row_keys[:m] == tuple((c, 0) for c in schedule.valid_indices)
-    assert sys_.row_keys[m : 2 * m] == tuple((c, 1) for c in schedule.valid_indices)
+    assert keys[:m] == [(c, 0) for c in schedule.valid_indices]
+    assert keys[m : 2 * m] == [(c, 1) for c in schedule.valid_indices]
     assert np.array_equal(sys_.y, trm.data.flatten(order="F"))
 
 
@@ -64,8 +67,9 @@ def test_rows_match_projection_row(cfg32, ideal_shape):
     rng = np.random.default_rng(25)
     _, schedule, trm, sys_ = build_system(cfg32, ideal_shape, 20, rng)
     unit = np.eye(cfg32.n_cells, dtype=complex)
-    for i in (0, 5, len(sys_.row_keys) - 1):
-        c_m, s = sys_.row_keys[i]
+    m = schedule.m_count
+    for i in (0, 5, sys_.n_rows - 1):
+        c_m, s = int(sys_.pulses[i % m]), i // m
         want = [
             synthesize_echo_sample(
                 RangeProfile(unit[p], cfg32), c_m, s * cfg32.delta_t, ideal_shape
@@ -134,12 +138,12 @@ def test_shared_factors_are_read_only(cfg32, ideal_shape):
     _, _, _, sys_ = build_system(cfg32, ideal_shape, 4, rng)
     _, _, _, other = build_system(cfg32, ideal_shape, 20, rng, seed=1)
     # every system of one radar and pulse shape holds the same arrays
-    assert other.envelopes is sys_.envelopes
-    assert other.gram_blocks() is sys_.gram_blocks()
+    assert other.radar.envelopes is sys_.radar.envelopes
+    assert other.radar.blocks is sys_.radar.blocks
     with pytest.raises(ValueError, match="read-only"):
-        sys_.envelopes[0, 0] = 1.0
+        sys_.radar.envelopes[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        sys_.gram_blocks()[0] = 0.0
+        sys_.radar.blocks[0] = 0.0
 
 
 def test_system_rejects_mismatched_trm(cfg32, ideal_shape):
@@ -152,3 +156,10 @@ def test_system_rejects_mismatched_trm(cfg32, ideal_shape):
     assert schedule_a.valid_indices != schedule_b.valid_indices
     with pytest.raises(ConfigError):
         build_sensing_system(cfg32, ideal_shape, schedule_b, trm)
+
+
+def test_radar_rejects_non_finite_shape_matrix():
+    # checked once when the radar is built, so a system need only check y
+    envelopes = np.array([[1.0, 0.5, -0.25, 2.0], [0.0, np.nan, 0.0, 0.0]])
+    with pytest.raises(ConfigError, match="non-finite"):
+        _Radar(envelopes, 2)

@@ -18,6 +18,7 @@ from sfradar import (
     solve_sparse_l1,
     solve_stretch_idft,
 )
+from sfradar.echo import _Radar
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
 from sfradar.solvers import operator_norm_sq, prox_gradient_l1
 from conftest import sparse_profile
@@ -25,7 +26,7 @@ from conftest import sparse_profile
 
 def with_y(sys_, y):
     """The same operator as sys_ observing y."""
-    return SensingSystem(y, sys_.noise_sigma, sys_.envelopes, sys_.pulses, sys_.n_pulses)
+    return SensingSystem(y, sys_.noise_sigma, sys_.radar, sys_.pulses)
 
 
 def random_system(s_count, n_pulses, l_bins, m_count, rng, k=5, noise=0.0):
@@ -37,7 +38,8 @@ def random_system(s_count, n_pulses, l_bins, m_count, rng, k=5, noise=0.0):
     pulses = np.sort(rng.choice(n_pulses, m_count, replace=False))
     x = np.zeros(n, dtype=complex)
     x[rng.choice(n, k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    sys_ = SensingSystem(np.zeros(rows, dtype=complex), noise, envelopes, pulses, n_pulses)
+    radar = _Radar(envelopes, n_pulses)
+    sys_ = SensingSystem(np.zeros(rows, dtype=complex), noise, radar, pulses)
     y = sys_.apply(x)
     if noise:
         y = y + noise * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
@@ -289,7 +291,7 @@ def test_sparse_orthogonal_observation_degenerate():
     # shape row and y lives only on its rows, so correlations vanish
     envelopes = np.array([[1.0, 0.5, -0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
     y = np.array([0.0, 0.0, 0.6, 0.8j], dtype=complex)
-    sys_ = SensingSystem(y, 0.0, envelopes, pulses=(0, 1), n_pulses=2)
+    sys_ = SensingSystem(y, 0.0, _Radar(envelopes, 2), pulses=(0, 1))
     assert np.all(sys_.adjoint(y) == 0)
     rec = solve_sparse_l1(sys_, SolverOptions(epsilon=0.5))
     assert np.all(rec.h_est == 0)
