@@ -19,7 +19,8 @@ from .model import ConfigError, PulseShape, RadarConfig, pulse_shape_eval
 
 @dataclass(frozen=True, eq=False)
 class RangeProfile:
-    """Complex reflectivity over the n_cells fine range cells of a gate."""
+    """Complex reflectivity over the n_cells fine range cells of a gate,
+    every cell finite."""
 
     values: np.ndarray
     cfg: RadarConfig
@@ -32,6 +33,8 @@ class RangeProfile:
                 f"profile length {values.size} does not match "
                 f"n_pulses * l_bins = {self.cfg.n_cells}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("profile has non-finite cells")
 
 
 @dataclass(frozen=True)

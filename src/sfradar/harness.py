@@ -320,9 +320,18 @@ _REQUIRED = {
 }
 
 
-def _parse_list(raw: str, cast):
-    parts = [p.strip() for p in raw.replace(",", " ").split()]
-    return tuple(cast(p) for p in parts)
+def _read(section, key, get):
+    """get(key), naming [section] key when the value does not parse."""
+    try:
+        return get(key)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+
+
+def _read_list(section, key, cast) -> tuple:
+    """A comma- or space-separated value, each item read by cast."""
+    items = section[key].replace(",", " ").split()
+    return _read(section, key, lambda _: tuple(cast(p) for p in items))
 
 
 def _read_fields(section, cls) -> dict:
@@ -333,13 +342,13 @@ def _read_fields(section, cls) -> dict:
     """
     getters = {bool: section.getboolean, int: section.getint, str: section.get}
     return {
-        f.name: getters.get(f.type, section.getfloat)(f.name)
+        f.name: _read(section, f.name, getters.get(f.type, section.getfloat))
         for f in fields(cls)
         if f.name in section
     }
 
 
-def _section_kind(section, path) -> str:
+def _section_kind(section) -> str:
     """The kind of a [pulse_shape] or [target] section, its keys checked.
 
     A key that the kind does not read is an error, not ignored: a window
@@ -348,16 +357,15 @@ def _section_kind(section, path) -> str:
     kinds = _KIND_KEYS[section.name]
     kind = section.get("kind", next(iter(kinds)))
     if kind not in kinds:
-        raise ConfigError(f"{path}: unknown [{section.name}] kind {kind!r}")
+        raise ConfigError(f"unknown [{section.name}] kind {kind!r}")
     for key in section:
         if key != "kind" and key not in kinds[kind]:
             raise ConfigError(
-                f"{path}: key {key!r} in [{section.name}] does not apply to "
-                f"kind {kind!r}"
+                f"key {key!r} in [{section.name}] does not apply to kind {kind!r}"
             )
     need = _KIND_REQUIRES.get(kind)
     if need is not None and need not in section:
-        raise ConfigError(f"{path}: [{section.name}] kind {kind!r} requires {need}")
+        raise ConfigError(f"[{section.name}] kind {kind!r} requires {need}")
     return kind
 
 
@@ -365,7 +373,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
     """Build an ExperimentSpec from a key-value config file.
 
     Unknown sections or keys are errors, not warnings: a silent typo
-    would corrupt a sweep.
+    would corrupt a sweep. Every error is a ConfigError naming the file.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -375,21 +383,25 @@ def load_experiment_spec(path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cp.read_file(f)
-    except configparser.Error as exc:
+        return _spec_from_parser(cp)
+    except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+
+def _spec_from_parser(cp) -> ExperimentSpec:
+    """The spec of a parsed config file; load_experiment_spec adds the path."""
     for section in cp.sections():
         if section not in _SECTION_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
             if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
     for section, keys in _REQUIRED.items():
         if section not in cp:
-            raise ConfigError(f"{path}: missing section [{section}]")
+            raise ConfigError(f"missing section [{section}]")
         for key in keys:
             if key not in cp[section]:
-                raise ConfigError(f"{path}: missing key {key!r} in [{section}]")
+                raise ConfigError(f"missing key {key!r} in [{section}]")
 
     # an optional section that is absent reads as empty
     cp.read_dict({name: {} for name in _SECTION_KEYS.keys() - _REQUIRED.keys()})
@@ -397,34 +409,31 @@ def load_experiment_spec(path) -> ExperimentSpec:
     radar = RadarConfig(**_read_fields(cp["radar"], RadarConfig))
 
     s = cp["pulse_shape"]
-    _section_kind(s, path)
+    _section_kind(s)
     shape = PulseShape(radar.pulse_bandwidth, **_read_fields(s, PulseShape))
 
     t = cp["target"]
-    target_cls = FileTarget if _section_kind(t, path) == "file" else SyntheticSparse
+    target_cls = FileTarget if _section_kind(t) == "file" else SyntheticSparse
     target = target_cls(**_read_fields(t, target_cls))
 
     e = cp["experiment"]
-    raw_snr = e.get("snr_db").strip()
-    if raw_snr.lower() == "none":
+    if e.get("snr_db").strip().lower() == "none":
         snr_db = None
     else:
-        values = _parse_list(raw_snr, float)
+        values = _read_list(e, "snr_db", float)
         snr_db = values[0] if len(values) == 1 else values
 
     return ExperimentSpec(
         radar=radar,
         target=target,
-        sweep=_parse_list(e.get("sweep"), int),
+        sweep=_read_list(e, "sweep", int),
         snr_db=snr_db,
-        trials_per_point=e.getint("trials_per_point"),
-        seed=e.getint("seed"),
-        solvers=(
-            _parse_list(e.get("solvers"), str) if "solvers" in e else DEFAULT_SOLVERS
-        ),
+        trials_per_point=_read(e, "trials_per_point", e.getint),
+        seed=_read(e, "seed", e.getint),
+        solvers=_read_list(e, "solvers", str) if "solvers" in e else DEFAULT_SOLVERS,
         solver_opts=SolverOptions(**_read_fields(cp["solver"], SolverOptions)),
         shape=shape,
         valid_pulses=(
-            _parse_list(e.get("valid_pulses"), int) if "valid_pulses" in e else None
+            _read_list(e, "valid_pulses", int) if "valid_pulses" in e else None
         ),
     )

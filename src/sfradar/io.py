@@ -70,11 +70,11 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
     diagnostic naming what was expected and what was found.
     """
     with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f]
-    lines = [ln for ln in lines if ln]
+        # (line number in the file, text) of the non-blank lines
+        lines = [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
     if not lines:
         raise TrmHeaderError(f"{path}: empty file")
-    header = _parse_header(lines[0])
+    header = _parse_header(lines[0][1])
 
     m_expected, s_expected = schedule.m_count, cfg.n_samples
     if header["M"] != m_expected or header["S"] != s_expected:
@@ -97,16 +97,16 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
         )
 
     samples = np.empty(expected, dtype=np.complex128)
-    for i, ln in enumerate(lines[1:]):
+    for i, (n, ln) in enumerate(lines[1:]):
         parts = ln.split(",")
         if len(parts) != 2:
-            raise TrmSampleError(f"{path}:{i + 2}: expected 're,im', got {ln!r}")
+            raise TrmSampleError(f"{path}:{n}: expected 're,im', got {ln!r}")
         try:
             re, im = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise TrmSampleError(f"{path}:{i + 2}: unparseable sample {ln!r}") from exc
+            raise TrmSampleError(f"{path}:{n}: unparseable sample {ln!r}") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise TrmSampleError(f"{path}:{i + 2}: non-finite sample {ln!r}")
+            raise TrmSampleError(f"{path}:{n}: non-finite sample {ln!r}")
         samples[i] = complex(re, im)
 
     return Trm(

@@ -82,10 +82,6 @@ class SensingSystem:
         k = np.arange(n)
         return c[(k[:, None] - k[None, :]) % n]
 
-    def all_finite(self) -> bool:
-        """Whether y is finite; the radar checked its shape matrix when built."""
-        return bool(np.all(np.isfinite(self.y)))
-
     def apply(self, h: np.ndarray) -> np.ndarray:
         """Phi h, sample-major like y."""
         return self.radar.echoes(h, self.pulses).ravel(order="F")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import PulseSchedule, Trm
-from .model import PulseShape, RadarConfig
+from .model import ConfigError, PulseShape, RadarConfig
 from .sensing import SensingSystem, _ridge_solve, build_sensing_system
 
 TINY = np.finfo(float).tiny
@@ -48,21 +48,21 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         for name in ("rel_change_tol", "epsilon_factor", "lambda_ratio"):
             v = getattr(self, name)
             if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+                raise ConfigError(f"{name} must be positive, got {v}")
         if self.lambda_ratio >= 1:
-            raise ValueError(f"lambda_ratio must be < 1, got {self.lambda_ratio}")
+            raise ConfigError(f"lambda_ratio must be < 1, got {self.lambda_ratio}")
         if self.lambda_path_steps < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"lambda_path_steps must be >= 1, got {self.lambda_path_steps}"
             )
         if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.ls_ridge is not None and not self.ls_ridge > 0:
-            raise ValueError(f"ls_ridge must be positive, got {self.ls_ridge}")
+            raise ConfigError(f"ls_ridge must be positive, got {self.ls_ridge}")
 
     def resolve_epsilon(self, sys: SensingSystem) -> float:
         if self.epsilon is not None:
@@ -113,7 +113,7 @@ def operator_norm_sq(op: SensingSystem) -> float:
 
 def prox_gradient_l1(
     op: SensingSystem,
-    y: np.ndarray,
+    b: np.ndarray,
     lam: float,
     step: float,
     x0: np.ndarray,
@@ -130,13 +130,14 @@ def prox_gradient_l1(
     Comput. Math. 2015). The restart stops the oscillation of the
     iterates on ill-conditioned schedules and leaves the fixed point as it
     was. accelerate=False gives the plain iteration whose objective is
-    non-increasing. The gradient Phi^H Phi z - Phi^H y is taken on the
-    normal operator, with Phi^H y formed once. Returns (x, iterations).
+    non-increasing. The gradient Phi^H Phi z - b is taken on the normal
+    operator, with b = Phi^H y formed once by the caller. Returns
+    (x, iterations), x a new array.
 
     Parameters
     ----------
     op : SensingSystem
-        Supplies Phi through its apply and adjoint.
+        Supplies Phi^H Phi through its normal operator.
     step : float
         Gradient step size; must not exceed the reciprocal of the largest
         squared singular value of Phi.
@@ -145,7 +146,6 @@ def prox_gradient_l1(
     """
     x = x0.astype(np.complex128, copy=True)
     z = x.copy()
-    b = op.adjoint(y)
     t = 1.0
     iters = 0
     tol_sq = rel_change_tol * rel_change_tol
@@ -170,6 +170,18 @@ def prox_gradient_l1(
     return x, iters
 
 
+def _check_finite(sys: SensingSystem) -> None:
+    """Reject a non-finite observation; the radar checked its shape matrix."""
+    if not np.all(np.isfinite(sys.y)):
+        raise ValueError("sensing system contains non-finite entries")
+
+
+def _result(sys, method, h, iterations, converged, eps) -> RecoveryResult:
+    """The RecoveryResult of estimate h, its residual recomputed on sys."""
+    residual = float(np.linalg.norm(sys.y - sys.apply(h)))
+    return RecoveryResult(h, method, residual, iterations, converged, eps)
+
+
 def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
     """Sparse recovery: min ||h||_1 subject to ||y - phi h||_2 <= epsilon.
 
@@ -182,53 +194,34 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
     iterate is returned with converged=False.
     """
     opts = opts or SolverOptions()
-    y = sys.y
-    if not sys.all_finite():
-        raise ValueError("sensing system contains non-finite entries")
+    _check_finite(sys)
     eps = float(opts.resolve_epsilon(sys))
+    b = sys.adjoint(sys.y)
+    lam_max = float(np.max(np.abs(b)))
+    x = np.zeros(sys.n_cells, dtype=np.complex128)
+    feasible = float(np.linalg.norm(sys.y)) <= eps
+    if feasible or lam_max == 0.0:
+        # either the zero profile meets the budget, and it minimizes the l1
+        # norm, or y is orthogonal to the operator range and no estimate
+        # can shrink the residual below ||y||, which exceeds eps
+        return _result(sys, "sparse_l1", x, 0, feasible, eps)
 
-    def result(h, iters, converged):
-        residual = float(np.linalg.norm(y - sys.apply(h)))
-        return RecoveryResult(
-            h_est=h,
-            method="sparse_l1",
-            residual_l2=residual,
-            iterations=iters,
-            converged=converged,
-            epsilon_used=eps,
-        )
-
-    zero = np.zeros(sys.n_cells, dtype=np.complex128)
-    norm_y = float(np.linalg.norm(y))
-    if norm_y <= eps:
-        # the zero profile is already feasible, and it minimizes the l1 norm
-        return result(zero, 0, True)
-
-    lam_max = float(np.max(np.abs(sys.adjoint(y))))
-    if lam_max == 0.0:
-        # y is orthogonal to the operator range; no estimate can shrink
-        # the residual below ||y||, which exceeds eps here
-        return result(zero, 0, False)
-
-    l_op = operator_norm_sq(sys)
-    step = 1.0 / (1.01 * l_op)
-
-    x = zero.copy()
+    step = 1.0 / (1.01 * operator_norm_sq(sys))
     total_iters = 0
-    best_residual, best_x = math.inf, zero
+    best_residual, best_x = math.inf, x
     for k in range(1, opts.lambda_path_steps + 1):
         lam = lam_max * opts.lambda_ratio**k
         x, iters = prox_gradient_l1(
-            sys, y, lam, step, x, opts.max_iters, opts.rel_change_tol,
+            sys, b, lam, step, x, opts.max_iters, opts.rel_change_tol,
             accelerate=opts.accelerate,
         )
         total_iters += iters
-        residual = float(np.linalg.norm(y - sys.apply(x)))
+        residual = float(np.linalg.norm(sys.y - sys.apply(x)))
         if residual <= eps:
-            return result(x, total_iters, True)
+            return _result(sys, "sparse_l1", x, total_iters, True, eps)
         if residual < best_residual:
-            best_residual, best_x = residual, x.copy()
-    return result(best_x, total_iters, False)
+            best_residual, best_x = residual, x
+    return _result(sys, "sparse_l1", best_x, total_iters, False, eps)
 
 
 def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
@@ -240,23 +233,13 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     NL x NL at the default sampling.
     """
     opts = opts or SolverOptions()
-    y = sys.y
-    if not sys.all_finite():
-        raise ValueError("sensing system contains non-finite entries")
+    _check_finite(sys)
     ridge = opts.ls_ridge
     if ridge is None:
         ridge = 1e-6 * operator_norm_sq(sys)
     if ridge <= 0:
         ridge = TINY
-    h = _ridge_solve(sys, ridge)
-    residual = float(np.linalg.norm(y - sys.apply(h)))
-    return RecoveryResult(
-        h_est=h,
-        method="least_squares",
-        residual_l2=residual,
-        iterations=0,
-        converged=True,
-    )
+    return _result(sys, "least_squares", _ridge_solve(sys, ridge), 0, True, None)
 
 
 def stretch_bin_columns(cfg: RadarConfig) -> list:
@@ -266,11 +249,8 @@ def stretch_bin_columns(cfg: RadarConfig) -> list:
     are discarded.
     """
     instants = np.arange(cfg.n_samples) * cfg.delta_t
-    cols = []
-    for ell in range(cfg.l_bins):
-        centre = (ell + 0.5) / cfg.delta_f
-        cols.append(int(np.argmin(np.abs(instants - centre))))
-    return cols
+    centres = (np.arange(cfg.l_bins) + 0.5) / cfg.delta_f
+    return np.argmin(np.abs(instants - centres[:, None]), axis=1).tolist()
 
 
 def solve_stretch_idft(
@@ -285,22 +265,13 @@ def solve_stretch_idft(
     bandwidth, is only used to recompute the model residual.
     """
     shape = shape or PulseShape.ideal_sinc(cfg.pulse_bandwidth)
-    rows = tuple(trm.row_pulse_indices)
-    full = len(rows) == cfg.n_pulses
+    schedule = PulseSchedule(trm.row_pulse_indices, cfg.n_pulses)
+    sys = build_sensing_system(cfg, shape, schedule, trm)
+    _check_finite(sys)
     grid = np.zeros((cfg.n_pulses, trm.data.shape[1]), dtype=np.complex128)
-    grid[list(rows), :] = trm.data
+    grid[sys.pulses, :] = trm.data
 
     # (L, N): bin-wise inverse DFTs, (1/N) sum_n x_n exp(+j 2 pi n k / N)
     segments = np.fft.ifft(grid[:, stretch_bin_columns(cfg)].T)
-    h_est = segments.reshape(-1)
-
-    schedule = PulseSchedule(rows, cfg.n_pulses)
-    sys = build_sensing_system(cfg, shape, schedule, trm)
-    residual = float(np.linalg.norm(sys.y - sys.apply(h_est)))
-    return RecoveryResult(
-        h_est=h_est,
-        method="stretch_idft",
-        residual_l2=residual,
-        iterations=0,
-        converged=full,
-    )
+    full = schedule.m_count == cfg.n_pulses
+    return _result(sys, "stretch_idft", segments.reshape(-1), 0, full, None)

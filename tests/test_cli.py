@@ -171,7 +171,7 @@ def test_empty_or_repeated_list_is_a_config_error(tmp_path, capsys, verb, old, n
     path.write_text(CONFIG.replace(old, new))
     out = tmp_path / "out"
     assert main([verb, "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {new.split()[0]} must list")
+    assert capsys.readouterr().err.startswith(f"error: {path}: {new.split()[0]} must list")
     assert not out.exists()
 
 

@@ -34,6 +34,14 @@ def test_profile_length_enforced(cfg32):
         RangeProfile(np.zeros(cfg32.n_cells - 1, dtype=complex), cfg32)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_profile_rejects_non_finite_cells(cfg32, bad):
+    values = np.zeros(cfg32.n_cells, dtype=complex)
+    values[5] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        RangeProfile(values, cfg32)
+
+
 def test_profile_sparsity(cfg32):
     values = np.zeros(cfg32.n_cells, dtype=complex)
     values[[3, 7, 100]] = [1.0, 2j, -1.0 + 1j]

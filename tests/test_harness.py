@@ -433,6 +433,25 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
         load_experiment_spec(path)
 
 
+@pytest.mark.parametrize("old, new, names", [
+    ("n_pulses = 32", "n_pulses = abc", "[radar] n_pulses"),
+    ("l_bins = 12", "l_bins = 0", "l_bins"),
+    ("sweep = 0, 4, 8, 12, 16, 20", "sweep = 0, x", "[experiment] sweep"),
+    ("trials_per_point = 20", "trials_per_point = 2.5", "[experiment] trials_per_point"),
+    ("max_iters = 4000", "max_iters = 0", "max_iters"),
+    ("max_iters = 4000", "accelerate = maybe", "[solver] accelerate"),
+], ids=["radar_value", "radar_check", "list_value", "experiment_value",
+        "solver_check", "solver_value"])
+def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names):
+    path = tmp_path / "exp.cfg"
+    path.write_text(GOOD_CONFIG.replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        load_experiment_spec(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ") and names in message
+    assert message.count(str(path)) == 1
+
+
 def test_load_experiment_spec_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_experiment_spec(tmp_path / "nope.cfg")

@@ -127,6 +127,15 @@ def test_trm_bad_samples(tmp_path, cfg32, schedule, sample):
         load_trm_file(dest, cfg32, schedule)
 
 
+def test_trm_sample_error_names_its_line_in_the_file(tmp_path, cfg32, schedule):
+    # blank lines after the header still count: the bad sample is on line 5
+    lines = [header(), "", "", "0,0", "abc,0"] + ["0,0"] * (20 * 18 - 2)
+    dest = tmp_path / "blank_lines.trm"
+    write_lines(dest, lines)
+    with pytest.raises(TrmSampleError, match=r"blank_lines\.trm:5: unparseable"):
+        load_trm_file(dest, cfg32, schedule)
+
+
 def test_trm_error_hierarchy():
     assert issubclass(TrmHeaderError, TrmFileError)
     assert issubclass(TrmDimensionError, TrmFileError)

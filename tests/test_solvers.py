@@ -18,7 +18,7 @@ from sfradar import (
     solve_sparse_l1,
     solve_stretch_idft,
 )
-from sfradar.echo import _Radar
+from sfradar.echo import Trm, _Radar
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
 from sfradar.solvers import operator_norm_sq, prox_gradient_l1
 from conftest import sparse_profile
@@ -308,6 +308,38 @@ def test_sparse_rejects_non_finite():
         solve_sparse_l1(bad)
 
 
+def test_sparse_forms_the_adjoint_once(cfg32, ideal_shape, monkeypatch):
+    # noiseless, so eps = 0 and every penalty level of the path runs
+    rng = np.random.default_rng(41)
+    _, _, sys_ = radar_system(cfg32, ideal_shape, 12, rng, 24)
+    calls = []
+    adjoint = SensingSystem.adjoint
+
+    def counted(self, v):
+        calls.append(v)
+        return adjoint(self, v)
+
+    monkeypatch.setattr(SensingSystem, "adjoint", counted)
+    rec = solve_sparse_l1(sys_)
+    assert rec.epsilon_used == 0.0 and not rec.converged
+    assert len(calls) == 1
+
+
+def test_every_route_rejects_a_non_finite_trm(cfg32, ideal_shape):
+    # built by hand: build_trm and load_trm_file never give a NaN sample
+    schedule = random_missing_schedule(32, 4, seed=5)
+    data = np.zeros((schedule.m_count, cfg32.n_samples), dtype=complex)
+    data[3, 5] = np.nan
+    instants = np.arange(cfg32.n_samples) * cfg32.delta_t
+    trm = Trm(data, schedule.valid_indices, instants)
+    sys_ = build_sensing_system(cfg32, ideal_shape, schedule, trm)
+    for solve in (solve_sparse_l1, solve_least_squares):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(sys_)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_stretch_idft(trm, cfg32, ideal_shape)
+
+
 def test_prox_gradient_objective_monotone_without_acceleration():
     rng = np.random.default_rng(39)
     x_true, sys_ = random_system(6, 9, 5, 5, rng, k=4)  # 30 rows, 45 cells
@@ -321,7 +353,9 @@ def test_prox_gradient_objective_monotone_without_acceleration():
     # plain ISTA one iteration per call, each call started from the last iterate
     x, history = np.zeros(45, dtype=complex), []
     for _ in range(500):
-        x, _ = prox_gradient_l1(sys_, sys_.y, lam, step, x, 1, 1e-12, accelerate=False)
+        x, _ = prox_gradient_l1(
+            sys_, sys_.adjoint(sys_.y), lam, step, x, 1, 1e-12, accelerate=False
+        )
         history.append(objective(x))
     history = np.asarray(history)
     increases = np.diff(history)
@@ -335,7 +369,7 @@ def test_prox_gradient_fixed_point_optimality():
     lam = 0.05 * float(np.max(np.abs(sys_.phi.conj().T @ sys_.y)))
     step = 1.0 / (1.01 * np.linalg.norm(sys_.phi, 2) ** 2)
     x, _ = prox_gradient_l1(
-        sys_, sys_.y, lam, step, np.zeros(64, dtype=complex), 50_000, 1e-14
+        sys_, sys_.adjoint(sys_.y), lam, step, np.zeros(64, dtype=complex), 50_000, 1e-14
     )
     support = np.abs(x) > 1e-9 * np.max(np.abs(x))
     grad = sys_.phi.conj().T @ (sys_.phi @ x - sys_.y)
@@ -353,7 +387,9 @@ def test_prox_gradient_does_not_copy_the_operator(cfg32, ideal_shape):
     x0 = np.zeros(sys_.n_cells, dtype=complex)
     tracemalloc.start()
     try:
-        _, iters = prox_gradient_l1(sys_, sys_.y, lam, step, x0, 20, 1e-14)
+        _, iters = prox_gradient_l1(
+            sys_, sys_.adjoint(sys_.y), lam, step, x0, 20, 1e-14
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
