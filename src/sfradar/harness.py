@@ -69,14 +69,14 @@ class FileTarget:
 class ExperimentSpec:
     radar: RadarConfig
     target: SyntheticSparse | FileTarget = SyntheticSparse()
-    sweep: tuple = (0,)
-    snr_db: float | tuple | None = None
+    sweep: tuple[int, ...] = (0,)
+    snr_db: float | tuple[float, ...] | None = None
     trials_per_point: int = 1
     seed: int = 0
-    solvers: tuple = DEFAULT_SOLVERS
+    solvers: tuple[str, ...] = DEFAULT_SOLVERS
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
     shape: PulseShape | None = None
-    valid_pulses: tuple | None = None  # recorded-data schedule, CLI recover only
+    valid_pulses: tuple[int, ...] | None = None  # recorded-data schedule (recover)
 
     def __post_init__(self):
         if self.trials_per_point < 1:
@@ -97,10 +97,13 @@ class ExperimentSpec:
             if snr is not None and not math.isfinite(snr):
                 raise ConfigError(f"snr_db must be finite, got {snr}")
         if isinstance(self.target, FileTarget):
+            path = str(self.target.path)
             try:
-                truth = RangeProfile(load_profile_csv(self.target.path), self.radar)
+                truth = RangeProfile(load_profile_csv(path), self.radar)
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"target file {self.target.path}: {exc}") from exc
+                # the file is named once: most loader errors name it already
+                message = str(exc) if path in str(exc) else f"target file {path}: {exc}"
+                raise ConfigError(message) from exc
             object.__setattr__(self, "_file_truth", truth)
         elif self.target.n_scatterers > self.radar.n_cells:
             raise ConfigError(
@@ -295,78 +298,87 @@ def write_trials_csv(records, path) -> None:
 
 # -- configuration file -----------------------------------------------------
 
-# the keys each kind of [pulse_shape] and [target] reads besides kind; the
-# first kind is the default
-_KIND_KEYS = {
+# section -> kind -> (keys the kind reads, keys it requires). A section
+# without kinds has the one kind None; elsewhere the first kind is the
+# default. Required keys are explicit, not derived from the field
+# defaults: l_bins has one.
+_SCHEMA = {
+    "radar": {None: ({f.name for f in fields(RadarConfig)},
+                     ("f_c", "delta_f", "n_pulses", "pulse_bandwidth", "l_bins"))},
     "pulse_shape": {
-        "ideal_sinc": set(),
-        "windowed_sinc": {"window", "truncation_halfwidth"},
+        "ideal_sinc": (set(), ()),
+        "windowed_sinc": ({"window", "truncation_halfwidth"}, ("truncation_halfwidth",)),
     },
-    "target": {"synthetic": {"n_scatterers"}, "file": {"path"}},
+    "target": {"synthetic": ({"n_scatterers"}, ()), "file": ({"path"}, ("path",))},
+    "experiment": {None: (
+        {"sweep", "snr_db", "trials_per_point", "seed", "solvers", "valid_pulses"},
+        ("sweep", "snr_db", "trials_per_point", "seed"))},
+    "solver": {None: ({f.name for f in fields(SolverOptions)}, ())},
 }
-_KIND_REQUIRES = {"windowed_sinc": "truncation_halfwidth", "file": "path"}
-_SECTION_KEYS = {
-    "radar": {f.name for f in fields(RadarConfig)},
-    **{name: {"kind"}.union(*kinds.values()) for name, kinds in _KIND_KEYS.items()},
-    "experiment": {
-        "sweep", "snr_db", "trials_per_point", "seed", "solvers", "valid_pulses",
-    },
-    "solver": {f.name for f in fields(SolverOptions)},
-}
-# explicit, not derived from the field defaults: l_bins has one
-_REQUIRED = {
-    "radar": {"f_c", "delta_f", "n_pulses", "pulse_bandwidth", "l_bins"},
-    "experiment": {"sweep", "snr_db", "trials_per_point", "seed"},
-}
+_REQUIRED_SECTIONS = ("radar", "experiment")
 
 
-def _read(section, key, get):
-    """get(key), naming [section] key when the value does not parse."""
-    try:
-        return get(key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
-
-
-def _read_list(section, key, cast) -> tuple:
-    """A comma- or space-separated value, each item read by cast."""
-    items = section[key].replace(",", " ").split()
-    return _read(section, key, lambda _: tuple(cast(p) for p in items))
-
-
-def _read_fields(section, cls) -> dict:
-    """The keys of a config section that name fields of dataclass cls.
-
-    Each value is read as its field's annotated type: bool, int, str, or
-    else float (an optional float field is annotated float | None).
-    """
-    getters = {bool: section.getboolean, int: section.getint, str: section.get}
-    return {
-        f.name: _read(section, f.name, getters.get(f.type, section.getfloat))
-        for f in fields(cls)
-        if f.name in section
-    }
-
-
-def _section_kind(section) -> str:
-    """The kind of a [pulse_shape] or [target] section, its keys checked.
+def _check_section(section):
+    """The kind of a config section, its keys checked against _SCHEMA.
 
     A key that the kind does not read is an error, not ignored: a window
     on an ideal sinc would otherwise load and change nothing.
     """
-    kinds = _KIND_KEYS[section.name]
-    kind = section.get("kind", next(iter(kinds)))
+    kinds = _SCHEMA[section.name]
+    kind = None if None in kinds else section.get("kind", next(iter(kinds)))
     if kind not in kinds:
         raise ConfigError(f"unknown [{section.name}] kind {kind!r}")
+    where = f"[{section.name}]" + ("" if kind is None else f" kind {kind!r}")
+    reads, requires = kinds[kind]
     for key in section:
-        if key != "kind" and key not in kinds[kind]:
-            raise ConfigError(
-                f"key {key!r} in [{section.name}] does not apply to kind {kind!r}"
-            )
-    need = _KIND_REQUIRES.get(kind)
-    if need is not None and need not in section:
-        raise ConfigError(f"[{section.name}] kind {kind!r} requires {need}")
+        if key not in reads and (kind is None or key != "kind"):
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for key in requires:
+        if key not in section:
+            raise ConfigError(f"{where} requires {key}")
     return kind
+
+
+def _read_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+def _read_tuple(cast):
+    """A reader of a comma- or space-separated value, each item read by cast."""
+    return lambda text: tuple(map(cast, text.replace(",", " ").split()))
+
+
+def _read_snr(text: str):
+    """none (noiseless), one value, or a tuple of values."""
+    if text.lower() == "none":
+        return None
+    values = _read_tuple(float)(text)
+    return values[0] if len(values) == 1 else values
+
+
+# the reader of a config value for each field annotation
+_READERS = {
+    bool: _read_bool, int: int, float: float, float | None: float, str: str,
+    tuple[int, ...]: _read_tuple(int), tuple[int, ...] | None: _read_tuple(int),
+    tuple[str, ...]: _read_tuple(str), float | tuple[float, ...] | None: _read_snr,
+}
+
+
+def _read_fields(section, cls) -> dict:
+    """The keys of a config section that name fields of dataclass cls, each
+    read by its field annotation's reader (a KeyError if it has none). A
+    value that does not parse names its [section] key."""
+    values = {}
+    for f in fields(cls):
+        if f.name in section:
+            try:
+                values[f.name] = _READERS[f.type](section[f.name])
+            except ValueError as exc:
+                raise ConfigError(f"[{section.name}] {f.name}: {exc}") from exc
+    return values
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -390,50 +402,22 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
 def _spec_from_parser(cp) -> ExperimentSpec:
     """The spec of a parsed config file; load_experiment_spec adds the path."""
-    for section in cp.sections():
-        if section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-    for section, keys in _REQUIRED.items():
-        if section not in cp:
-            raise ConfigError(f"missing section [{section}]")
-        for key in keys:
-            if key not in cp[section]:
-                raise ConfigError(f"missing key {key!r} in [{section}]")
-
+    for name in cp.sections():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section [{name}]")
+    for name in _REQUIRED_SECTIONS:
+        if name not in cp:
+            raise ConfigError(f"missing section [{name}]")
     # an optional section that is absent reads as empty
-    cp.read_dict({name: {} for name in _SECTION_KEYS.keys() - _REQUIRED.keys()})
-
+    cp.read_dict(dict.fromkeys(_SCHEMA, {}))
+    kinds = {name: _check_section(cp[name]) for name in _SCHEMA}
     radar = RadarConfig(**_read_fields(cp["radar"], RadarConfig))
-
-    s = cp["pulse_shape"]
-    _section_kind(s)
-    shape = PulseShape(radar.pulse_bandwidth, **_read_fields(s, PulseShape))
-
-    t = cp["target"]
-    target_cls = FileTarget if _section_kind(t) == "file" else SyntheticSparse
-    target = target_cls(**_read_fields(t, target_cls))
-
-    e = cp["experiment"]
-    if e.get("snr_db").strip().lower() == "none":
-        snr_db = None
-    else:
-        values = _read_list(e, "snr_db", float)
-        snr_db = values[0] if len(values) == 1 else values
-
+    shape = PulseShape(radar.pulse_bandwidth, **_read_fields(cp["pulse_shape"], PulseShape))
+    target_cls = FileTarget if kinds["target"] == "file" else SyntheticSparse
     return ExperimentSpec(
         radar=radar,
-        target=target,
-        sweep=_read_list(e, "sweep", int),
-        snr_db=snr_db,
-        trials_per_point=_read(e, "trials_per_point", e.getint),
-        seed=_read(e, "seed", e.getint),
-        solvers=_read_list(e, "solvers", str) if "solvers" in e else DEFAULT_SOLVERS,
-        solver_opts=SolverOptions(**_read_fields(cp["solver"], SolverOptions)),
+        target=target_cls(**_read_fields(cp["target"], target_cls)),
         shape=shape,
-        valid_pulses=(
-            _read_list(e, "valid_pulses", int) if "valid_pulses" in e else None
-        ),
+        **_read_fields(cp["experiment"], ExperimentSpec),
+        solver_opts=SolverOptions(**_read_fields(cp["solver"], SolverOptions)),
     )

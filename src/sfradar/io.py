@@ -159,19 +159,27 @@ def export_profile(result, axis: np.ndarray, path) -> None:
 
 
 def load_profile_csv(path) -> np.ndarray:
-    """Read back a profile CSV into a complex vector."""
+    """Read back a profile CSV into a complex vector.
+
+    A row that does not parse raises ValueError naming its line in the
+    file, blank lines counted.
+    """
     with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] != PROFILE_HEADER:
+        # (line number in the file, text) of the non-blank lines
+        lines = [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
+    if not lines or lines[0][1] != PROFILE_HEADER:
         raise ValueError(
             f"{path}: expected header {PROFILE_HEADER!r}, "
-            f"got {lines[0] if lines else ''!r}"
+            f"got {lines[0][1] if lines else ''!r}"
         )
     values = []
-    for i, ln in enumerate(lines[1:]):
+    for n, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path}:{i + 2}: expected 3 columns, got {ln!r}")
-        mag, phase = float(parts[1]), float(parts[2])
+            raise ValueError(f"{path}:{n}: expected 3 columns, got {ln!r}")
+        try:
+            mag, phase = float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from exc
         values.append(mag * complex(math.cos(phase), math.sin(phase)))
     return np.asarray(values, dtype=np.complex128)

@@ -5,6 +5,7 @@ parameters: the range-gate geometry, the fine range axis spanned by the
 synthetic bandwidth, and the compressed (baseband) pulse shape.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,28 +55,31 @@ class RadarConfig:
     c_light: float = C_LIGHT
 
     def __post_init__(self):
-        if not self.pulse_bandwidth > 0:
-            raise ConfigError(
-                f"pulse_bandwidth must be positive, got {self.pulse_bandwidth}"
-            )
-        if self.delta_t is None:
+        if self.delta_t is None and self.pulse_bandwidth > 0:
             object.__setattr__(self, "delta_t", 1.0 / self.pulse_bandwidth)
-        if not self.delta_f > 0:
-            raise ConfigError(f"delta_f must be positive, got {self.delta_f}")
+        # pulse_bandwidth before delta_t, which stays None if it is not positive
+        for name in ("f_c", "delta_f", "pulse_bandwidth", "delta_t", "c_light"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.n_pulses < 2:
             raise ConfigError(f"n_pulses must be >= 2, got {self.n_pulses}")
         if self.l_bins < 1:
             raise ConfigError(f"l_bins must be >= 1, got {self.l_bins}")
-        if not self.delta_t > 0:
-            raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
         if self.q_start < 0:
             raise ConfigError(f"q_start must be >= 0, got {self.q_start}")
-        if not self.c_light > 0:
-            raise ConfigError(f"c_light must be positive, got {self.c_light}")
-        if self.n_samples < 1:
+        # the product of two tiny positive steps can underflow to zero
+        step = self.delta_f * self.delta_t
+        samples = self.l_bins / step if step > 0 else math.inf
+        if not math.isfinite(samples):
+            raise ConfigError(
+                f"l_bins / (delta_f * delta_t) = {samples:.3g} is not a finite "
+                "fast-time sample count"
+            )
+        if round(samples) < 1:
             raise ConfigError(
                 "the gate holds no fast-time sample: l_bins / (delta_f * delta_t)"
-                f" = {self.l_bins / (self.delta_f * self.delta_t):.3g} rounds to 0"
+                f" = {samples:.3g} rounds to 0"
             )
 
     @property

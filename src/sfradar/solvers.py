@@ -237,8 +237,6 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     ridge = opts.ls_ridge
     if ridge is None:
         ridge = 1e-6 * operator_norm_sq(sys)
-    if ridge <= 0:
-        ridge = TINY
     return _result(sys, "least_squares", _ridge_solve(sys, ridge), 0, True, None)
 
 

@@ -338,12 +338,38 @@ NON_DEFAULT_OPTIONS = dict(
 )
 
 
-@pytest.mark.parametrize(
-    "name", [f.name for f in fields(SolverOptions) + fields(RadarConfig)]
-)
-def test_load_experiment_spec_solver_option_round_trip(tmp_path, name):
-    value = NON_DEFAULT_OPTIONS[name]
-    text = str(value).lower() if isinstance(value, bool) else repr(value)
+# every SolverOptions and RadarConfig field, then a value other than
+# GOOD_CONFIG's for every [experiment] key, snr_db as one value, a list
+# and none
+ROUND_TRIP = [
+    pytest.param(f.name, NON_DEFAULT_OPTIONS[f.name], id=f.name)
+    for f in fields(SolverOptions) + fields(RadarConfig)
+] + [
+    pytest.param("sweep", (3, 7), id="sweep"),
+    pytest.param("valid_pulses", (0, 2, 5), id="valid_pulses"),
+    pytest.param("solvers", ("stretch_idft", "sparse_l1"), id="solvers"),
+    pytest.param("trials_per_point", 3, id="trials_per_point"),
+    pytest.param("seed", 42, id="seed"),
+    pytest.param("snr_db", 7.5, id="snr_db-one"),
+    pytest.param("snr_db", (5.0, 25.0), id="snr_db-list"),
+    pytest.param("snr_db", None, id="snr_db-none"),
+]
+
+
+def config_text(value) -> str:
+    """value as a config file writes it."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return repr(value)
+
+
+@pytest.mark.parametrize("name, value", ROUND_TRIP)
+def test_load_experiment_spec_solver_option_round_trip(tmp_path, name, value):
+    text = config_text(value)
     path = tmp_path / "exp.cfg"
     if name in {f.name for f in fields(RadarConfig)}:
         assert value != getattr(RadarConfig(**GOOD_RADAR), name)
@@ -351,12 +377,22 @@ def test_load_experiment_spec_solver_option_round_trip(tmp_path, name):
         path.write_text(config.replace("[radar]\n", f"[radar]\n{name} = {text}\n"))
         got = load_experiment_spec(path).radar
         assert got == RadarConfig(**{**GOOD_RADAR, name: value})
-    else:
+    elif name in {f.name for f in fields(SolverOptions)}:
         assert value != getattr(SolverOptions(), name)
         path.write_text(GOOD_CONFIG.replace(SOLVER_SECTION, f"[solver]\n{name} = {text}\n"))
         got = load_experiment_spec(path).solver_opts
         assert got == replace(SolverOptions(), **{name: value})
+    else:
+        path.write_text(GOOD_CONFIG)
+        good = load_experiment_spec(path)
+        assert value != getattr(good, name)
+        config = re.sub(rf"\n{name} = [^\n]*", "", GOOD_CONFIG)
+        path.write_text(config.replace("[experiment]\n", f"[experiment]\n{name} = {text}\n"))
+        got = load_experiment_spec(path)
+        assert got == replace(good, **{name: value})
     assert type(getattr(got, name)) is type(value)
+    # the items of a tuple too
+    assert repr(getattr(got, name)) == repr(value)
 
 
 def test_load_experiment_spec_unknown_solver_key(tmp_path):

@@ -217,3 +217,15 @@ def test_load_profile_rejects_wrong_header(tmp_path):
     dest.write_text("wrong,header,line\n0,0,0\n")
     with pytest.raises(ValueError):
         load_profile_csv(dest)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1", r"q\.csv:5: expected 3 columns"),
+    ("0,abc,0", r"q\.csv:5: could not convert string to float: 'abc'"),
+], ids=["columns", "value"])
+def test_profile_row_error_names_its_line_in_the_file(tmp_path, row, message):
+    # blank lines after the header still count: the bad row is on line 5
+    dest = tmp_path / "q.csv"
+    dest.write_text(f"range_m,magnitude,phase_rad\n\n\n0,1,0\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        load_profile_csv(dest)

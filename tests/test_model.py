@@ -84,6 +84,13 @@ def test_default_sampling_interval(cfg32):
         dict(pulse_bandwidth=0.0),
         dict(q_start=-1),
         dict(delta_t=0.0),
+        dict(c_light=math.inf),
+        dict(f_c=math.nan),
+        dict(f_c=-1.0),
+        dict(f_c=math.inf),
+        # l_bins / (delta_f * delta_t) overflows, or the product underflows
+        dict(delta_f=1e-300),
+        dict(delta_f=1e-300, delta_t=1e-300),
     ],
 )
 def test_config_invariants_rejected(kwargs):

@@ -5,6 +5,7 @@ import os
 import re
 
 from sfradar import PulseShape, SolverOptions, SyntheticSparse, load_experiment_spec
+from sfradar.harness import _SCHEMA
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -37,3 +38,17 @@ def test_readme_config_block_loads(tmp_path):
     assert spec.sweep == (0, 4, 8, 12, 16, 20)
     assert spec.solvers == ("sparse_l1", "least_squares")
     assert spec.solver_opts == SolverOptions()
+    # section by section, the keys the block names, commented out or not,
+    # are exactly the keys the loader reads
+    named, keys = {}, None
+    for line in readme_block("ini").splitlines():
+        if section := re.match(r"\[(\w+)\]", line):
+            keys = named.setdefault(section[1], set())
+        elif key := re.match(r"#?\s*(\w+) = ", line):
+            keys.add(key[1])
+    schema = {
+        name: set().union(*(reads for reads, _ in kinds.values()))
+        | (set() if None in kinds else {"kind"})
+        for name, kinds in _SCHEMA.items()
+    }
+    assert named == schema

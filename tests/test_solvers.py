@@ -121,6 +121,19 @@ def test_operator_norm_sq_cached_on_system(cfg32, ideal_shape, monkeypatch):
     assert operator_norm_sq(other) == first
 
 
+@pytest.mark.parametrize("shape_args", [
+    (), ("rect", 2 / 24e6), ("hamming", 2 / 24e6), ("hann", 2 / 24e6),
+], ids=["ideal_sinc", "rect", "hamming", "hann"])
+def test_operator_norm_sq_is_at_least_the_pulse_count(cfg32, shape_args):
+    # E[0, 0] is the pulse shape at tau = 0, 1 for every shape, so column 0
+    # of the full train has squared norm >= N; the default LS ridge,
+    # 1e-6 * norm_sq, is therefore always positive
+    shape = (PulseShape.windowed_sinc(24e6, *shape_args) if shape_args
+             else PulseShape.ideal_sinc(24e6))
+    _, _, sys_ = radar_system(cfg32, shape, 12, np.random.default_rng(5), 24)
+    assert operator_norm_sq(sys_) >= cfg32.n_pulses
+
+
 @pytest.mark.parametrize("n_missing", [0, 4, 8, 12, 16, 20])
 def test_small_normal_forms_skip_the_column_gram(cfg32, ideal_shape, monkeypatch,
                                                  n_missing):
