@@ -19,14 +19,13 @@ from .echo import PulseSchedule
 from .harness import (
     ExperimentSpec,
     METHODS,
-    draw_trial,
     load_experiment_spec,
     run_experiment,
+    run_trial,
     solve_method,
     write_trials_csv,
 )
 from .io import export_profile, load_trm_file
-from .metrics import similarity
 from .model import ConfigError, range_axis
 from .sensing import build_sensing_system
 
@@ -50,7 +49,7 @@ def cmd_simulate(args) -> int:
     cfg = spec.radar
     missing, snr = spec.sweep[0], spec.snr_list[0]
     out = _outdir(args)
-    truth, trm, sys_ = draw_trial(spec, missing, snr, 0)
+    truth, records, results = run_trial(spec, missing, snr, 0)
     axis = range_axis(cfg)
 
     export_profile(truth, axis, os.path.join(out, "truth_profile.csv"))
@@ -58,15 +57,13 @@ def cmd_simulate(args) -> int:
         f"simulate: N={cfg.n_pulses} L={cfg.l_bins} missing={missing} "
         f"snr_db={snr} seed={spec.seed}"
     )
-    for method in spec.solvers:
-        result = solve_method(spec, method, sys_, trm)
-        report = similarity(truth.values, result.h_est)
-        dest = os.path.join(out, f"profile_{method}.csv")
+    for rec, result in zip(records, results):
+        dest = os.path.join(out, f"profile_{rec.method}.csv")
         export_profile(result, axis, dest)
         print(
-            f"  {method}: similarity={report.similarity:.4f} "
-            f"rel_l2={report.rel_l2_error:.4f} residual={result.residual_l2:.4g} "
-            f"iters={result.iterations} converged={result.converged} -> {dest}"
+            f"  {rec.method}: similarity={rec.similarity:.4f} "
+            f"rel_l2={rec.rel_l2_error:.4f} residual={rec.residual_l2:.4g} "
+            f"iters={rec.iterations} converged={result.converged} -> {dest}"
         )
     return 0
 

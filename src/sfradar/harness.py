@@ -83,6 +83,8 @@ class ExperimentSpec:
             raise ConfigError(
                 f"trials_per_point must be >= 1, got {self.trials_per_point}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         sweep = tuple(int(v) for v in self.sweep)
         object.__setattr__(self, "sweep", sweep)
         for name, values in (("sweep", sweep), ("snr_db", self.snr_list)):
@@ -204,15 +206,18 @@ def solve_method(spec: ExperimentSpec, method: str, sys, trm) -> RecoveryResult:
     return solve_stretch_idft(trm, spec.radar, spec.shape)
 
 
-def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> list:
+def run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> tuple:
+    """(truth, records, results) of one trial: every solver of the spec on
+    the trial's one observation, a TrialRecord and a RecoveryResult each."""
     truth, trm, sys = draw_trial(spec, missing_count, snr_db, trial)
     trial_seed = child_seed(spec.seed, missing_count, trial, 0)
-    records = []
+    records, results = [], []
     for method in spec.solvers:
         start = time.perf_counter()
         result = solve_method(spec, method, sys, trm)
         wall = time.perf_counter() - start
         report = similarity(truth.values, result.h_est)
+        results.append(result)
         records.append(
             TrialRecord(
                 seed=trial_seed,
@@ -227,7 +232,7 @@ def _run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> 
                 wall_time_s=wall,
             )
         )
-    return records
+    return truth, records, results
 
 
 def _worker_count(workers: int | None) -> int:
@@ -258,10 +263,10 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     ]
     n_workers = _worker_count(workers)
     if n_workers == 1 or len(jobs) <= 1:
-        batches = [_run_trial(spec, *job) for job in jobs]
+        batches = [run_trial(spec, *job)[1] for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            batches = list(pool.map(lambda job: _run_trial(spec, *job), jobs))
+            batches = list(pool.map(lambda job: run_trial(spec, *job)[1], jobs))
     records = [rec for batch in batches for rec in batch]
     records.sort(
         key=lambda r: (
@@ -339,13 +344,6 @@ def _check_section(section):
     return kind
 
 
-def _read_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"Not a boolean: {text}") from None
-
-
 def _read_tuple(cast):
     """A reader of a comma- or space-separated value, each item read by cast."""
     return lambda text: tuple(map(cast, text.replace(",", " ").split()))
@@ -361,7 +359,7 @@ def _read_snr(text: str):
 
 # the reader of a config value for each field annotation
 _READERS = {
-    bool: _read_bool, int: int, float: float, float | None: float, str: str,
+    int: int, float: float, float | None: float, str: str,
     tuple[int, ...]: _read_tuple(int), tuple[int, ...] | None: _read_tuple(int),
     tuple[str, ...]: _read_tuple(str), float | tuple[float, ...] | None: _read_snr,
 }

@@ -4,7 +4,7 @@ The headline score is the normalized cross-correlation of magnitude
 profiles, maximized over a bounded circular shift: global phase and
 scale carry no profiling information, and a small alignment search
 absorbs off-by-a-cell placement. A relative l2 error on the complex
-values and a peak-sidelobe-ratio diagnostic round out the report.
+values rounds out the report; peak_sidelobe_db is a separate diagnostic.
 """
 
 import math
@@ -21,7 +21,6 @@ PSL_FLOOR_DB = -300.0
 class SimilarityReport:
     similarity: float
     rel_l2_error: float
-    peak_sidelobe_db: float
     alignment_shift: int
 
 
@@ -72,11 +71,9 @@ def similarity(truth, estimate) -> SimilarityReport:
         best_score = min(float(scores[k]), 1.0)
         best_shift = int(shifts[k])
 
-    psl = peak_sidelobe_db(estimate) if norm_b > 0.0 else math.nan
     return SimilarityReport(
         similarity=best_score,
         rel_l2_error=rel_l2_error(truth, estimate),
-        peak_sidelobe_db=psl,
         alignment_shift=best_shift,
     )
 

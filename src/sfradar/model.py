@@ -11,6 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 C_LIGHT = 299_792_458.0  # m/s
+# largest shape matrix, n_samples x n_cells, a radar may ask for: 1 GiB of
+# float64, over 5000 times the N=64, L=16 gate's
+MAX_SHAPE_ENTRIES = 2**27
 
 
 class ConfigError(ValueError):
@@ -80,6 +83,12 @@ class RadarConfig:
             raise ConfigError(
                 "the gate holds no fast-time sample: l_bins / (delta_f * delta_t)"
                 f" = {samples:.3g} rounds to 0"
+            )
+        if round(samples) * self.n_cells > MAX_SHAPE_ENTRIES:
+            raise ConfigError(
+                f"l_bins / (delta_f * delta_t) = {samples:.3g} fast-time samples "
+                f"by {self.n_cells} cells exceed the {MAX_SHAPE_ENTRIES} entries "
+                "of the largest shape matrix"
             )
 
     @property

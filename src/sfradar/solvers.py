@@ -44,7 +44,6 @@ class SolverOptions:
     lambda_path_steps: int = 8
     lambda_ratio: float = 0.1
     ls_ridge: float | None = None
-    accelerate: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -119,19 +118,18 @@ def prox_gradient_l1(
     x0: np.ndarray,
     max_iters: int,
     rel_change_tol: float,
-    accelerate: bool = True,
 ):
     """Proximal-gradient descent on 0.5 ||y - Phi x||^2 + lam ||x||_1.
 
-    Accelerated by default: FISTA momentum (Beck & Teboulle, SIAM J.
-    Imaging Sci. 2009), reset whenever the step from the last iterate
-    points against the momentum, Re<z - x_new, x_new - x> > 0, the
-    gradient-scheme adaptive restart of O'Donoghue & Candes (Found.
-    Comput. Math. 2015). The restart stops the oscillation of the
-    iterates on ill-conditioned schedules and leaves the fixed point as it
-    was. accelerate=False gives the plain iteration whose objective is
-    non-increasing. The gradient Phi^H Phi z - b is taken on the normal
-    operator, with b = Phi^H y formed once by the caller. Returns
+    Accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci.
+    2009), reset whenever the step from the last iterate points against
+    the momentum, Re<z - x_new, x_new - x> > 0, the gradient-scheme
+    adaptive restart of O'Donoghue & Candes (Found. Comput. Math. 2015).
+    The restart stops the oscillation of the iterates on ill-conditioned
+    schedules and leaves the fixed point as it was. The first iteration
+    of a call carries no momentum, so a one-iteration call is a plain
+    proximal-gradient step. The gradient Phi^H Phi z - b is taken on the
+    normal operator, with b = Phi^H y formed once by the caller. Returns
     (x, iterations), x a new array.
 
     Parameters
@@ -154,15 +152,12 @@ def prox_gradient_l1(
         x_new = soft_threshold(z - step * grad, lam * step)
         iters = k + 1
         delta = x_new - x
-        if accelerate:
-            if np.vdot(z - x_new, delta).real > 0:
-                # the momentum points uphill: restart it
-                t = 1.0
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            z = x_new + ((t - 1.0) / t_new) * delta
-            t = t_new
-        else:
-            z = x_new
+        if np.vdot(z - x_new, delta).real > 0:
+            # the momentum points uphill: restart it
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * delta
+        t = t_new
         x = x_new
         # ||delta|| < tol * max(||x||, 1e-12), on squared norms
         if np.vdot(delta, delta).real < tol_sq * max(np.vdot(x, x).real, 1e-24):
@@ -212,8 +207,7 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
     for k in range(1, opts.lambda_path_steps + 1):
         lam = lam_max * opts.lambda_ratio**k
         x, iters = prox_gradient_l1(
-            sys, b, lam, step, x, opts.max_iters, opts.rel_change_tol,
-            accelerate=opts.accelerate,
+            sys, b, lam, step, x, opts.max_iters, opts.rel_change_tol
         )
         total_iters += iters
         residual = float(np.linalg.norm(sys.y - sys.apply(x)))
@@ -251,18 +245,14 @@ def stretch_bin_columns(cfg: RadarConfig) -> list:
     return np.argmin(np.abs(instants - centres[:, None]), axis=1).tolist()
 
 
-def solve_stretch_idft(
-    trm: Trm, cfg: RadarConfig, shape: PulseShape | None = None
-) -> RecoveryResult:
+def solve_stretch_idft(trm: Trm, cfg: RadarConfig, shape: PulseShape) -> RecoveryResult:
     """Stretch processing: per-column inverse DFT over the pulse index.
 
     Missing pulses are zero-filled to a full train first (the classical
     degraded case, flagged converged=False). Each coarse bin takes the
     inverse DFT of its selected column as its block of fine cells. The
-    pulse shape, defaulting to the ideal sinc at the configured
-    bandwidth, is only used to recompute the model residual.
+    pulse shape is only used to recompute the model residual.
     """
-    shape = shape or PulseShape.ideal_sinc(cfg.pulse_bandwidth)
     schedule = PulseSchedule(trm.row_pulse_indices, cfg.n_pulses)
     sys = build_sensing_system(cfg, shape, schedule, trm)
     _check_finite(sys)

@@ -175,6 +175,12 @@ def test_empty_or_repeated_list_is_a_config_error(tmp_path, capsys, verb, old, n
     assert not out.exists()
 
 
+def test_negative_seed_override_is_a_config_error(tmp_path, config_path, capsys):
+    rc = main(["sweep", "--config", config_path, "--out", str(tmp_path), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.cfg"
     path.write_text("[radar]\nbogus = 1\n")

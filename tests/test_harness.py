@@ -332,7 +332,7 @@ GOOD_RADAR = dict(f_c=5.0e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=24e6, l_
 # SolverOptions and RadarConfig field
 NON_DEFAULT_OPTIONS = dict(
     max_iters=1234, rel_change_tol=2.5e-7, epsilon=0.125, epsilon_factor=1.75,
-    lambda_path_steps=5, lambda_ratio=0.25, ls_ridge=3e-9, accelerate=False,
+    lambda_path_steps=5, lambda_ratio=0.25, ls_ridge=3e-9,
     f_c=6.5e9, delta_f=8e6, n_pulses=40, pulse_bandwidth=30e6, delta_t=2.5e-8,
     q_start=3, l_bins=10, c_light=2.5e8,
 )
@@ -358,8 +358,6 @@ ROUND_TRIP = [
 
 def config_text(value) -> str:
     """value as a config file writes it."""
-    if isinstance(value, bool):
-        return str(value).lower()
     if value is None:
         return "none"
     if isinstance(value, tuple):
@@ -475,9 +473,15 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
     ("sweep = 0, 4, 8, 12, 16, 20", "sweep = 0, x", "[experiment] sweep"),
     ("trials_per_point = 20", "trials_per_point = 2.5", "[experiment] trials_per_point"),
     ("max_iters = 4000", "max_iters = 0", "max_iters"),
-    ("max_iters = 4000", "accelerate = maybe", "[solver] accelerate"),
+    ("max_iters = 4000", "max_iters = abc", "[solver] max_iters"),
+    ("seed = 1", "seed = -1", "seed"),
+    ("delta_f = 16e6", "delta_f = 1e-200", "delta_f"),
+    # restarted FISTA is the only iteration: no key switches it off
+    ("max_iters = 4000", "max_iters = 4000\naccelerate = true",
+     "unknown key 'accelerate' in [solver]"),
 ], ids=["radar_value", "radar_check", "list_value", "experiment_value",
-        "solver_check", "solver_value"])
+        "solver_check", "solver_value", "negative_seed", "shape_too_large",
+        "accelerate"])
 def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD_CONFIG.replace(old, new))

@@ -10,6 +10,7 @@ from sfradar import (
     pulse_shape_eval,
     range_axis,
 )
+from sfradar.model import MAX_SHAPE_ENTRIES
 
 C_EXACT = 299_792_458.0
 
@@ -107,6 +108,17 @@ def test_config_without_fast_time_samples_rejected():
             f_c=5e9, delta_f=16e6, n_pulses=8, pulse_bandwidth=24e6, l_bins=1,
             delta_t=1e-6,
         )
+
+
+def test_config_shape_matrix_bound():
+    # 2 cells by 2**26 samples is exactly MAX_SHAPE_ENTRIES; one coarse bin
+    # more doubles the samples and the cells
+    base = dict(f_c=5e9, delta_f=16e6, n_pulses=2, pulse_bandwidth=24e6, l_bins=1)
+    delta_t = 1.0 / (16e6 * 2**26)
+    cfg = RadarConfig(**base, delta_t=delta_t)
+    assert cfg.n_samples * cfg.n_cells == MAX_SHAPE_ENTRIES
+    with pytest.raises(ConfigError, match=r"l_bins / \(delta_f \* delta_t\)"):
+        RadarConfig(**{**base, "l_bins": 2}, delta_t=delta_t)
 
 
 def test_ideal_sinc_values():

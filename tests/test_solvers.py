@@ -363,12 +363,11 @@ def test_prox_gradient_objective_monotone_without_acceleration():
         r = sys_.y - sys_.phi @ x
         return 0.5 * float(np.vdot(r, r).real) + lam * float(np.sum(np.abs(x)))
 
-    # plain ISTA one iteration per call, each call started from the last iterate
+    # one iteration per call, each call started from the last iterate: a
+    # call starts with no momentum, so this is plain ISTA
     x, history = np.zeros(45, dtype=complex), []
     for _ in range(500):
-        x, _ = prox_gradient_l1(
-            sys_, sys_.adjoint(sys_.y), lam, step, x, 1, 1e-12, accelerate=False
-        )
+        x, _ = prox_gradient_l1(sys_, sys_.adjoint(sys_.y), lam, step, x, 1, 1e-12)
         history.append(objective(x))
     history = np.asarray(history)
     increases = np.diff(history)
