@@ -52,14 +52,14 @@ def cmd_simulate(args) -> int:
     truth, records, results = run_trial(spec, missing, snr, 0)
     axis = range_axis(cfg)
 
-    export_profile(truth, axis, os.path.join(out, "truth_profile.csv"))
+    export_profile(truth.values, axis, os.path.join(out, "truth_profile.csv"))
     print(
         f"simulate: N={cfg.n_pulses} L={cfg.l_bins} missing={missing} "
         f"snr_db={snr} seed={spec.seed}"
     )
     for rec, result in zip(records, results):
         dest = os.path.join(out, f"profile_{rec.method}.csv")
-        export_profile(result, axis, dest)
+        export_profile(result.h_est, axis, dest)
         print(
             f"  {rec.method}: similarity={rec.similarity:.4f} "
             f"rel_l2={rec.rel_l2_error:.4f} residual={rec.residual_l2:.4g} "
@@ -102,9 +102,12 @@ def cmd_recover(args) -> int:
     axis = range_axis(cfg)
     methods = spec.solvers if args.method else (spec.solvers[0],)
     for method in methods:
-        result = solve_method(spec, method, sys_, trm)
+        try:
+            result = solve_method(spec, method, sys_, trm)
+        except ConfigError as exc:  # a capture without a noise level, say
+            raise ConfigError(f"{args.trm_file}: {exc}") from exc
         dest = os.path.join(out, f"recovered_{method}.csv")
-        export_profile(result, axis, dest)
+        export_profile(result.h_est, axis, dest)
         print(
             f"  {method}: residual={result.residual_l2:.6g} "
             f"iters={result.iterations} converged={result.converged} -> {dest}"

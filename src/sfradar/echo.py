@@ -97,14 +97,13 @@ class Trm:
     row_pulse_indices carries the schedule index of each row;
     col_instants the gate-referenced sample instant of each column.
     noise_sigma is the per-sample noise std actually injected (0 when
-    noiseless).
+    noiseless), or None when it is unknown: a capture file without one.
     """
 
     data: np.ndarray
     row_pulse_indices: tuple
     col_instants: np.ndarray
-    snr_db: float | None = None
-    noise_sigma: float = 0.0
+    noise_sigma: float | None = 0.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
@@ -145,16 +144,21 @@ class _Radar:
         self.n_pulses = n_pulses
         self.complement = lru_cache(maxsize=4)(self._complement)
 
-    def fold(self, values: np.ndarray) -> np.ndarray:
-        """Shape-weighted profile folded over the coarse bins, (N x S).
-
-        Entry (n, s) sums E[s, lN + n] h[lN + n] over l: one real (S x L) by
-        (L x 2) product per fine index n.
-        """
+    def _by_fine_index(self, mats: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """(N x K) complex: mats[n] (real, K x L) times the coarse bins of fine
+        index n of a profile, cells lN + n, one real (L x 2) product per n."""
         n_pulses, _, l_bins = self.stack.shape
         h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
         h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
-        return (self.stack @ h).view(np.complex128)[..., 0]
+        return (mats @ h).view(np.complex128)[..., 0]
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Shape-weighted profile folded over the coarse bins, (N x S).
+
+        Entry (n, s) sums E[s, lN + n] h[lN + n] over l: stack[n] times the
+        coarse bins of fine index n.
+        """
+        return self._by_fine_index(self.stack, values)
 
     def unfold(self, grid: np.ndarray) -> np.ndarray:
         """Adjoint of fold: the profile that an (N x S) grid backs to.
@@ -166,6 +170,11 @@ class _Radar:
         w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
         g = (self.stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
         return g.T.ravel()
+
+    def apply_blocks(self, blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """A real block-diagonal matrix (N x L x L) times a profile: block n
+        acts on the coarse bins of fine index n, laid out as unfold does."""
+        return self._by_fine_index(blocks, values).T.ravel()
 
     def echoes(self, values: np.ndarray, pulse_indices) -> np.ndarray:
         """Noiseless echoes (M x S) of a profile for the given pulse indices.
@@ -254,9 +263,7 @@ def build_trm(
     )
 
     sigma = 0.0
-    snr_db = None
     if noise is not None:
-        snr_db = noise.snr_db
         signal_power = float(np.mean(np.abs(data) ** 2))
         sigma = noise.sigma_for(signal_power)
         if sigma > 0:
@@ -268,7 +275,6 @@ def build_trm(
         data=data,
         row_pulse_indices=schedule.valid_indices,
         col_instants=instants,
-        snr_db=snr_db,
         noise_sigma=sigma,
     )
 

@@ -2,11 +2,13 @@
 
 TRM files carry one header line
 
-    SFRTRM v1 M=<int> S=<int> dt=<float> order=row-major
+    SFRTRM v1 M=<int> S=<int> dt=<float> order=row-major sigma=<float>
 
 followed by M*S lines of ``re,im`` decimal pairs in row-major order.
 dt is the spacing of the sample columns. A one-column TRM has no
 spacing: it is written with dt=0, and its dt is not checked on reading.
+sigma is the per-sample noise std, finite and >= 0; a file without it
+(the older header) has no known noise level.
 Profiles are exported as ``range_m,magnitude,phase_rad`` CSV with nine
 significant digits.
 """
@@ -40,14 +42,14 @@ class TrmSampleError(TrmFileError):
 
 def _parse_header(line: str) -> dict:
     fields = line.split()
-    if len(fields) != 6 or fields[0] != TRM_MAGIC or fields[1] != TRM_VERSION:
+    if len(fields) not in (6, 7) or fields[0] != TRM_MAGIC or fields[1] != TRM_VERSION:
         raise TrmHeaderError(
             f"expected header '{TRM_MAGIC} {TRM_VERSION} M=<int> S=<int> "
-            f"dt=<float> order=row-major', got {line!r}"
+            f"dt=<float> order=row-major [sigma=<float>]', got {line!r}"
         )
-    out = {}
+    out = {"sigma": None}
     for token, key, cast in zip(
-        fields[2:], ("M", "S", "dt", "order"), (int, int, float, str)
+        fields[2:], ("M", "S", "dt", "order", "sigma"), (int, int, float, str, float)
     ):
         prefix = key + "="
         if not token.startswith(prefix):
@@ -60,6 +62,9 @@ def _parse_header(line: str) -> dict:
         raise TrmHeaderError(f"unsupported sample order {out['order']!r}")
     if out["M"] < 1 or out["S"] < 1:
         raise TrmHeaderError(f"header dimensions must be positive, got {line!r}")
+    sigma = out["sigma"]
+    if sigma is not None and not (sigma >= 0 and math.isfinite(sigma)):
+        raise TrmHeaderError(f"header sigma must be finite and >= 0, got {sigma!r}")
     return out
 
 
@@ -113,17 +118,20 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
         data=samples.reshape(m_expected, s_expected),
         row_pulse_indices=schedule.valid_indices,
         col_instants=np.arange(s_expected) * cfg.delta_t,
+        noise_sigma=header["sigma"],
     )
 
 
 def write_trm_file(trm: Trm, path) -> None:
-    """Write a TRM in the ingestion format (full double precision)."""
+    """Write a TRM in the ingestion format (full double precision), with
+    its noise level as sigma= unless that is unknown."""
     m_count, s_count = trm.data.shape
     dt = float(trm.col_instants[1] - trm.col_instants[0]) if s_count > 1 else 0.0
+    sigma = "" if trm.noise_sigma is None else f" sigma={trm.noise_sigma:.17g}"
     with open(path, "w", encoding="ascii") as f:
         f.write(
             f"{TRM_MAGIC} {TRM_VERSION} M={m_count} S={s_count} "
-            f"dt={dt:.17g} order=row-major\n"
+            f"dt={dt:.17g} order=row-major{sigma}\n"
         )
         for z in trm.data.reshape(-1):
             f.write(f"{z.real:.17g},{z.imag:.17g}\n")
@@ -132,14 +140,9 @@ def write_trm_file(trm: Trm, path) -> None:
 PROFILE_HEADER = "range_m,magnitude,phase_rad"
 
 
-def export_profile(result, axis: np.ndarray, path) -> None:
-    """Dump a profile as range/magnitude/phase CSV, nine significant digits.
-
-    Accepts a recovery result, a range profile, or a bare complex vector.
-    """
-    values = getattr(result, "h_est", None)
-    if values is None:
-        values = getattr(result, "values", result)
+def export_profile(values, axis: np.ndarray, path) -> None:
+    """Dump a complex profile as range/magnitude/phase CSV, nine significant
+    digits."""
     values = np.asarray(values, dtype=np.complex128)
     axis = np.asarray(axis, dtype=float)
     if values.size != axis.size:

@@ -25,17 +25,7 @@ class SimilarityReport:
 
 
 def _magnitudes(profile) -> np.ndarray:
-    values = getattr(profile, "values", profile)
-    return np.abs(np.asarray(values, dtype=np.complex128))
-
-
-def _shift_range(n: int) -> list:
-    """Candidate shifts 0, -1, 1, -2, 2, ... out to the search bound."""
-    bound = n // SHIFT_BOUND_DIVISOR
-    out = [0]
-    for d in range(1, bound + 1):
-        out.extend((-d, d))
-    return out
+    return np.abs(np.asarray(profile, dtype=np.complex128))
 
 
 def similarity(truth, estimate) -> SimilarityReport:
@@ -65,7 +55,8 @@ def similarity(truth, estimate) -> SimilarityReport:
         # of b padded circularly by bound on each side, without a copy
         padded = np.concatenate((b[n - bound:], b, b[:bound]))
         scores = (sliding_window_view(padded, n)[::-1] @ a) / (norm_a * norm_b)
-        shifts = np.asarray(_shift_range(n))
+        d = np.arange(-bound, bound + 1)
+        shifts = d[np.argsort(np.abs(d), kind="stable")]  # 0, -1, 1, -2, ...
         scores = scores[shifts + bound]
         k = int(np.argmax(scores))  # the first maximum in search order
         best_score = min(float(scores[k]), 1.0)
@@ -80,8 +71,8 @@ def similarity(truth, estimate) -> SimilarityReport:
 
 def rel_l2_error(truth, estimate) -> float:
     """||truth - estimate||_2 / ||truth||_2 on complex values, unaligned."""
-    t = np.asarray(getattr(truth, "values", truth), dtype=np.complex128)
-    e = np.asarray(getattr(estimate, "values", estimate), dtype=np.complex128)
+    t = np.asarray(truth, dtype=np.complex128)
+    e = np.asarray(estimate, dtype=np.complex128)
     if t.size != e.size:
         raise ValueError(f"profile lengths differ: {t.size} vs {e.size}")
     norm_t = float(np.linalg.norm(t))

@@ -141,18 +141,6 @@ def _pulse_gram(b: np.ndarray, pulse_indices) -> np.ndarray:
     return g.reshape(s_count * m_count, s_count * m_count)
 
 
-def _blocks_apply(blocks: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """A real block-diagonal matrix (N x L x L) times a profile.
-
-    Block n acts on the coarse bins of fine index n, cells lN + n; the
-    complex profile goes in as two real columns per block.
-    """
-    n_pulses, l_bins, _ = blocks.shape
-    h = np.ascontiguousarray(h.reshape(l_bins, n_pulses).T)
-    x = blocks @ h.view(np.float64).reshape(n_pulses, l_bins, 2)
-    return x.view(np.complex128)[..., 0].T.ravel()
-
-
 def _normal_form(sys: SensingSystem) -> str:
     """The smallest ridge-shifted normal system of Phi that _ridge_solve factors.
 
@@ -188,9 +176,7 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     """
     form = _normal_form(sys)
     if form == "rows":
-        g = sys.row_gram()
-        g[np.diag_indices_from(g)] += ridge
-        return sys.adjoint(np.linalg.solve(g, sys.y))
+        return _pulse_solve(sys.radar, sys.row_gram(), ridge, sys.y, sys.pulses)
     rhs = sys.adjoint(sys.y)
     if form == "columns":
         g = sys.gram()
@@ -199,11 +185,17 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     radar = sys.radar
     a_inv, kernels = radar.complement(ridge)
     missing = np.setdiff1d(np.arange(radar.n_pulses), sys.pulses)
-    x = _blocks_apply(a_inv, rhs)
-    cap = _pulse_gram(kernels, missing)
-    cap[np.diag_indices_from(cap)] += 1.0
-    z = np.linalg.solve(cap, radar.echoes(x, missing).ravel(order="F"))
-    return x + _blocks_apply(a_inv, radar.backproject(z, missing))
+    x = radar.apply_blocks(a_inv, rhs)
+    u_x = radar.echoes(x, missing).ravel(order="F")
+    v = _pulse_solve(radar, _pulse_gram(kernels, missing), 1.0, u_x, missing)
+    return x + radar.apply_blocks(a_inv, v)
+
+
+def _pulse_solve(radar: _Radar, g: np.ndarray, shift: float, rhs, pulse_indices):
+    """Phi_c^H (g + shift I)^-1 rhs, Phi_c the rows of the given pulses and g
+    a sample-major _pulse_gram matrix over them, which is overwritten."""
+    g[np.diag_indices_from(g)] += shift
+    return radar.backproject(np.linalg.solve(g, rhs), pulse_indices)
 
 
 def build_sensing_system(

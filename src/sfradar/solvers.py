@@ -14,7 +14,7 @@ Three routes to an estimated range profile:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class SolverOptions:
 
     epsilon picks the residual budget explicitly; when None it is derived
     from the system noise level as epsilon_factor * sigma * sqrt(n_rows).
+    Every value must be finite.
     ls_ridge defaults to 1e-6 times the squared operator norm of the full
     pulse train (operator_norm_sq), a property of the radar and the pulse
     shape that is the same on every schedule. max_iters caps the inner
@@ -46,6 +47,10 @@ class SolverOptions:
     ls_ridge: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         for name in ("rel_change_tol", "epsilon_factor", "lambda_ratio"):
@@ -64,8 +69,15 @@ class SolverOptions:
             raise ConfigError(f"ls_ridge must be positive, got {self.ls_ridge}")
 
     def resolve_epsilon(self, sys: SensingSystem) -> float:
+        """The residual budget: epsilon, else one from the noise level of the
+        observation. With neither known there is no budget to solve to."""
         if self.epsilon is not None:
             return self.epsilon
+        if sys.noise_sigma is None:
+            raise ConfigError(
+                "no residual budget: the observation carries no noise level "
+                "(sigma=) and [solver] epsilon is not set"
+            )
         return self.epsilon_factor * sys.noise_sigma * math.sqrt(sys.n_rows)
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from sfradar import (
+    NoiseModel,
     PulseSchedule,
     RadarConfig,
     build_trm,
     draw_synthetic_target,
     load_experiment_spec,
     load_profile_csv,
+    random_missing_schedule,
     run_experiment,
     similarity,
     write_trm_file,
@@ -149,6 +151,64 @@ def test_recover_from_trm_file(tmp_path, capsys):
     overlap = np.dot(np.abs(truth.values), np.abs(recovered))
     denom = np.linalg.norm(truth.values) * np.linalg.norm(recovered)
     assert overlap / denom > 0.99
+
+
+DEFAULT_GATE = CONFIG.replace("n_pulses = 16", "n_pulses = 32").replace(
+    "l_bins = 3", "l_bins = 12"
+)
+
+
+def test_recovered_captures_sparse_beats_stretch(tmp_path):
+    # the paper's check on recorded data: a dozen 15 dB captures of the
+    # default gate, 4 to 20 pulses missing, each recovered from its file
+    # with the noise level that the file carries
+    cfg = RadarConfig(
+        f_c=5.0e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=24e6, l_bins=12
+    )
+    shape = PulseShape.ideal_sinc(24e6)
+    scores = {"sparse_l1": [], "stretch_idft": []}
+    for k in range(12):
+        missing = 4 + k * 16 // 11
+        truth = draw_synthetic_target(cfg, 24, seed=child_seed(5, missing, k, 1))
+        schedule = random_missing_schedule(32, missing, child_seed(5, missing, k, 2))
+        noise = NoiseModel(snr_db=15.0, seed=child_seed(5, missing, k, 3))
+        trm_path = tmp_path / f"capture{k}.trm"
+        write_trm_file(build_trm(truth, schedule, shape, noise), trm_path)
+        cfg_path = tmp_path / f"capture{k}.cfg"
+        cfg_path.write_text(DEFAULT_GATE.replace(
+            "seed = 9", "seed = 9\nvalid_pulses = " + ", ".join(
+                str(i) for i in schedule.valid_indices
+            )
+        ))
+        out = tmp_path / f"rec{k}"
+        argv = ["recover", str(trm_path), "--config", str(cfg_path), "--out", str(out)]
+        for method in scores:
+            assert main(argv + ["--method", method]) == 0
+            recovered = load_profile_csv(out / f"recovered_{method}.csv")
+            scores[method].append(similarity(truth.values, recovered).similarity)
+    sparse, stretch = np.mean(scores["sparse_l1"]), np.mean(scores["stretch_idft"])
+    assert sparse > stretch, (sparse, stretch)
+
+
+def test_recover_without_a_noise_level_needs_epsilon(tmp_path, config_path, capsys):
+    # a capture in the older header carries no sigma=: sparse has no budget
+    # unless the config sets one; stretch reads none
+    cfg = load_experiment_spec(config_path).radar
+    truth = draw_synthetic_target(cfg, 4, seed=21)
+    trm_path = tmp_path / "old.trm"
+    trm = build_trm(truth, PulseSchedule.full(16), PulseShape.ideal_sinc(24e6))
+    write_trm_file(trm, trm_path)
+    text = trm_path.read_text()
+    trm_path.write_text(text.replace(" sigma=0\n", "\n", 1))
+    argv = ["recover", str(trm_path), "--config", config_path, "--out", str(tmp_path)]
+    assert main(argv + ["--method", "sparse_l1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trm_path}: ") and "[solver] epsilon" in err
+    assert main(argv + ["--method", "stretch_idft"]) == 0
+    with_eps = tmp_path / "eps.cfg"
+    with_eps.write_text(CONFIG + "\n[solver]\nepsilon = 0.01\n")
+    argv[3] = str(with_eps)
+    assert main(argv + ["--method", "sparse_l1"]) == 0
 
 
 def test_recover_dimension_error_is_reported(tmp_path, config_path, capsys):

@@ -187,7 +187,7 @@ def test_run_experiment_snr_list(small_cfg):
 def test_run_experiment_file_target(tmp_path, small_cfg):
     truth = draw_synthetic_target(small_cfg, 5, seed=9)
     path = tmp_path / "truth.csv"
-    export_profile(truth, range_axis(small_cfg), path)
+    export_profile(truth.values, range_axis(small_cfg), path)
     spec = ExperimentSpec(
         radar=small_cfg, target=FileTarget(str(path)), sweep=(0,), snr_db=None,
         trials_per_point=2, seed=5, solvers=("least_squares",),
@@ -271,7 +271,9 @@ def test_spec_rejects_missing_target_file(tmp_path, small_cfg):
 def test_spec_rejects_target_file_of_wrong_length(tmp_path, small_cfg):
     other = replace(small_cfg, l_bins=small_cfg.l_bins + 1)
     path = tmp_path / "truth.csv"
-    export_profile(draw_synthetic_target(other, 5, seed=9), range_axis(other), path)
+    export_profile(
+        draw_synthetic_target(other, 5, seed=9).values, range_axis(other), path
+    )
     with pytest.raises(ConfigError, match="profile length 64"):
         ExperimentSpec(radar=small_cfg, target=FileTarget(str(path)))
 
@@ -479,9 +481,10 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
     # restarted FISTA is the only iteration: no key switches it off
     ("max_iters = 4000", "max_iters = 4000\naccelerate = true",
      "unknown key 'accelerate' in [solver]"),
+    ("max_iters = 4000", "max_iters = 4000\nls_ridge = inf", "ls_ridge must be finite"),
 ], ids=["radar_value", "radar_check", "list_value", "experiment_value",
         "solver_check", "solver_value", "negative_seed", "shape_too_large",
-        "accelerate"])
+        "accelerate", "solver_not_finite"])
 def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD_CONFIG.replace(old, new))

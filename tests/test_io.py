@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfradar import (
+    NoiseModel,
     PulseShape,
     RadarConfig,
     RangeProfile,
@@ -19,7 +20,6 @@ from sfradar import (
     range_axis,
     write_trm_file,
 )
-from sfradar.solvers import RecoveryResult
 from conftest import sparse_profile
 
 
@@ -45,6 +45,33 @@ def test_trm_round_trip(tmp_path, cfg32, ideal_shape, schedule):
     loaded = load_trm_file(dest, cfg32, schedule)
     assert np.array_equal(loaded.data, trm.data)
     assert loaded.row_pulse_indices == schedule.valid_indices
+
+
+def test_trm_round_trip_keeps_noise_level(tmp_path, cfg32, ideal_shape, schedule):
+    rng = np.random.default_rng(63)
+    profile = RangeProfile(sparse_profile(cfg32, 10, rng), cfg32)
+    trm = build_trm(profile, schedule, ideal_shape, NoiseModel(snr_db=15.0, seed=4))
+    dest = tmp_path / "noisy.trm"
+    write_trm_file(trm, dest)
+    first = dest.read_text(encoding="ascii").splitlines()[0]
+    assert first == header() + f" sigma={trm.noise_sigma:.17g}"
+    loaded = load_trm_file(dest, cfg32, schedule)
+    assert trm.noise_sigma > 0 and loaded.noise_sigma == trm.noise_sigma
+    assert np.array_equal(loaded.data, trm.data)
+
+
+def test_trm_header_without_sigma_has_no_noise_level(tmp_path, cfg32, schedule):
+    dest = tmp_path / "old.trm"
+    write_lines(dest, [header()] + ["0,0"] * (20 * 18))
+    assert load_trm_file(dest, cfg32, schedule).noise_sigma is None
+
+
+@pytest.mark.parametrize("sigma", ["-0.1", "inf", "nan", "abc"])
+def test_trm_bad_sigma(tmp_path, cfg32, schedule, sigma):
+    dest = tmp_path / "bad_sigma.trm"
+    write_lines(dest, [header() + f" sigma={sigma}"] + ["0,0"] * (20 * 18))
+    with pytest.raises(TrmHeaderError, match="sigma (must|value)"):
+        load_trm_file(dest, cfg32, schedule)
 
 
 def test_trm_single_column_round_trip(tmp_path):
@@ -107,6 +134,8 @@ def test_trm_dt_mismatch(tmp_path, cfg32, schedule):
         "SFRTRM v1 M=twenty S=18 dt=4.2e-08 order=row-major",
         "SFRTRM v1 M=20 S=18 dt=4.2e-08 order=column-major",
         "SFRTRM v1 M=20 S=18 dt=4.2e-08",
+        "SFRTRM v1 M=20 S=18 dt=4.2e-08 order=row-major noise=0.1",
+        "SFRTRM v1 M=20 S=18 dt=4.2e-08 order=row-major sigma=0 sigma=0",
         "",
     ],
 )
@@ -190,20 +219,6 @@ def test_export_profile_bytes_match_per_row_formatting(tmp_path):
     assert {"3.14159265", "-3.14159265"} <= {
         ln.split(",")[2] for ln in expected.splitlines()[1:]
     }
-
-
-def test_export_profile_accepts_result_and_profile(tmp_path, cfg32):
-    values = np.ones(cfg32.n_cells, dtype=complex)
-    axis = range_axis(cfg32)
-    rec = RecoveryResult(
-        h_est=values, method="least_squares", residual_l2=0.0,
-        iterations=0, converged=True,
-    )
-    export_profile(rec, axis, tmp_path / "a.csv")
-    export_profile(RangeProfile(values, cfg32), axis, tmp_path / "b.csv")
-    assert np.array_equal(
-        load_profile_csv(tmp_path / "a.csv"), load_profile_csv(tmp_path / "b.csv")
-    )
 
 
 def test_export_profile_length_mismatch(tmp_path, cfg32):

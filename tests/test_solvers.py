@@ -19,6 +19,7 @@ from sfradar import (
     solve_stretch_idft,
 )
 from sfradar.echo import Trm, _Radar
+from sfradar.model import ConfigError
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
 from sfradar.solvers import operator_norm_sq, prox_gradient_l1
 from conftest import sparse_profile
@@ -565,6 +566,11 @@ def test_stretch_residual_recomputed(cfg32, ideal_shape):
         dict(epsilon=-1.0),
         dict(ls_ridge=0.0),
         dict(epsilon_factor=-0.5),
+        dict(epsilon=float("nan")),
+        dict(epsilon=float("inf")),
+        dict(ls_ridge=float("inf")),
+        dict(rel_change_tol=float("inf")),
+        dict(epsilon_factor=float("inf")),
     ],
 )
 def test_solver_options_validation(kwargs):
@@ -579,3 +585,8 @@ def test_epsilon_from_noise_level():
     assert opts.resolve_epsilon(sys_) == pytest.approx(1.1 * 0.3 * np.sqrt(25))
     explicit = SolverOptions(epsilon=0.123)
     assert explicit.resolve_epsilon(sys_) == 0.123
+    # an unknown noise level, a capture without sigma=, needs epsilon
+    unknown = SensingSystem(sys_.y, None, sys_.radar, sys_.pulses)
+    with pytest.raises(ConfigError, match=r"\[solver\] epsilon"):
+        solve_sparse_l1(unknown)
+    assert explicit.resolve_epsilon(unknown) == 0.123
