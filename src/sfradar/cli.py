@@ -128,10 +128,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument(
-            "--config", required=config_required, help="experiment config file"
-        )
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (default: .)")
 

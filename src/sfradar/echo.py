@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import ConfigError, PulseShape, RadarConfig, pulse_shape_eval
+from .model import ConfigError, PulseShape, RadarConfig, check_int, pulse_shape_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,8 @@ class PulseSchedule:
     n_pulses: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.valid_indices)
+        check_int("n_pulses", self.n_pulses, 1)
+        idx = tuple(check_int("pulse index", i, 0) for i in self.valid_indices)
         object.__setattr__(self, "valid_indices", idx)
         m = len(idx)
         if not 1 <= m <= self.n_pulses:
@@ -85,6 +86,7 @@ class NoiseModel:
     def __post_init__(self):
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        check_int("seed", self.seed, 0)
 
     def sigma_for(self, signal_power: float) -> float:
         return float(np.sqrt(signal_power * 10.0 ** (-self.snr_db / 10.0)))
@@ -94,27 +96,24 @@ class NoiseModel:
 class Trm:
     """Target response matrix: m_count rows by n_samples columns.
 
-    row_pulse_indices carries the schedule index of each row;
-    col_instants the gate-referenced sample instant of each column.
+    row_pulse_indices carries the schedule index of each row; column s
+    is sampled at s * delta_t after the start of the gate.
     noise_sigma is the per-sample noise std actually injected (0 when
     noiseless), or None when it is unknown: a capture file without one.
     """
 
     data: np.ndarray
     row_pulse_indices: tuple
-    col_instants: np.ndarray
+    delta_t: float
     noise_sigma: float | None = 0.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
         object.__setattr__(self, "data", data)
-        object.__setattr__(
-            self, "col_instants", np.asarray(self.col_instants, dtype=float)
-        )
-        if data.shape != (len(self.row_pulse_indices), self.col_instants.size):
+        if data.ndim != 2 or data.shape[0] != len(self.row_pulse_indices):
             raise ConfigError(
-                f"TRM shape {data.shape} does not match {len(self.row_pulse_indices)} "
-                f"rows x {self.col_instants.size} columns"
+                f"TRM shape {data.shape} does not match "
+                f"{len(self.row_pulse_indices)} rows"
             )
 
 
@@ -257,7 +256,6 @@ def build_trm(
             f"schedule is for {schedule.n_pulses} pulses, config has {cfg.n_pulses}"
         )
     s_count = cfg.n_samples
-    instants = np.arange(s_count) * cfg.delta_t
     data = _radar_model(cfg, shape).echoes(
         profile.values, list(schedule.valid_indices)
     )
@@ -274,7 +272,7 @@ def build_trm(
     return Trm(
         data=data,
         row_pulse_indices=schedule.valid_indices,
-        col_instants=instants,
+        delta_t=cfg.delta_t,
         noise_sigma=sigma,
     )
 

@@ -25,7 +25,7 @@ from .echo import (
 )
 from .io import load_profile_csv
 from .metrics import similarity
-from .model import ConfigError, PulseShape, RadarConfig
+from .model import ConfigError, PulseShape, RadarConfig, check_int
 from .sensing import build_sensing_system
 from .solvers import (
     RecoveryResult,
@@ -49,10 +49,7 @@ class SyntheticSparse:
     n_scatterers: int = DEFAULT_SCATTERERS
 
     def __post_init__(self):
-        if self.n_scatterers < 1:
-            raise ConfigError(
-                f"n_scatterers must be >= 1, got {self.n_scatterers}"
-            )
+        check_int("n_scatterers", self.n_scatterers, 1)
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,9 @@ class ExperimentSpec:
     valid_pulses: tuple[int, ...] | None = None  # recorded-data schedule (recover)
 
     def __post_init__(self):
-        if self.trials_per_point < 1:
-            raise ConfigError(
-                f"trials_per_point must be >= 1, got {self.trials_per_point}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        sweep = tuple(int(v) for v in self.sweep)
+        check_int("trials_per_point", self.trials_per_point, 1)
+        check_int("seed", self.seed, 0)
+        sweep = tuple(check_int("sweep value", v, 0) for v in self.sweep)
         object.__setattr__(self, "sweep", sweep)
         for name, values in (("sweep", sweep), ("snr_db", self.snr_list)):
             if not values or len(set(values)) < len(values):
@@ -279,10 +272,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     return records
 
 
-TRIALS_CSV_HEADER = (
-    "seed,missing_count,snr_db,trial,method,similarity,"
-    "rel_l2_error,residual_l2,iterations,wall_time_s"
-)
+TRIALS_CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 def format_trial_row(rec: TrialRecord) -> str:

@@ -5,8 +5,8 @@ TRM files carry one header line
     SFRTRM v1 M=<int> S=<int> dt=<float> order=row-major sigma=<float>
 
 followed by M*S lines of ``re,im`` decimal pairs in row-major order.
-dt is the spacing of the sample columns. A one-column TRM has no
-spacing: it is written with dt=0, and its dt is not checked on reading.
+dt is the spacing of the sample columns; a one-column TRM's dt is not
+checked on reading.
 sigma is the per-sample noise std, finite and >= 0; a file without it
 (the older header) has no known noise level.
 Profiles are exported as ``range_m,magnitude,phase_rad`` CSV with nine
@@ -38,6 +38,12 @@ class TrmDimensionError(TrmFileError):
 
 class TrmSampleError(TrmFileError):
     """Unparseable or non-finite sample in a TRM file."""
+
+
+def _numbered_lines(path) -> list:
+    """(line number in the file, text) of the non-blank lines of an ASCII file."""
+    with open(path, "r", encoding="ascii") as f:
+        return [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
 
 
 def _parse_header(line: str) -> dict:
@@ -74,12 +80,13 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
     Raises TrmHeaderError, TrmDimensionError or TrmSampleError with a
     diagnostic naming what was expected and what was found.
     """
-    with open(path, "r", encoding="ascii") as f:
-        # (line number in the file, text) of the non-blank lines
-        lines = [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
+    lines = _numbered_lines(path)
     if not lines:
         raise TrmHeaderError(f"{path}: empty file")
-    header = _parse_header(lines[0][1])
+    try:
+        header = _parse_header(lines[0][1])
+    except TrmHeaderError as exc:
+        raise TrmHeaderError(f"{path}: {exc}") from exc
 
     m_expected, s_expected = schedule.m_count, cfg.n_samples
     if header["M"] != m_expected or header["S"] != s_expected:
@@ -117,7 +124,7 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
     return Trm(
         data=samples.reshape(m_expected, s_expected),
         row_pulse_indices=schedule.valid_indices,
-        col_instants=np.arange(s_expected) * cfg.delta_t,
+        delta_t=cfg.delta_t,
         noise_sigma=header["sigma"],
     )
 
@@ -126,12 +133,11 @@ def write_trm_file(trm: Trm, path) -> None:
     """Write a TRM in the ingestion format (full double precision), with
     its noise level as sigma= unless that is unknown."""
     m_count, s_count = trm.data.shape
-    dt = float(trm.col_instants[1] - trm.col_instants[0]) if s_count > 1 else 0.0
     sigma = "" if trm.noise_sigma is None else f" sigma={trm.noise_sigma:.17g}"
     with open(path, "w", encoding="ascii") as f:
         f.write(
             f"{TRM_MAGIC} {TRM_VERSION} M={m_count} S={s_count} "
-            f"dt={dt:.17g} order=row-major{sigma}\n"
+            f"dt={trm.delta_t:.17g} order=row-major{sigma}\n"
         )
         for z in trm.data.reshape(-1):
             f.write(f"{z.real:.17g},{z.imag:.17g}\n")
@@ -167,9 +173,7 @@ def load_profile_csv(path) -> np.ndarray:
     A row that does not parse raises ValueError naming its line in the
     file, blank lines counted.
     """
-    with open(path, "r", encoding="ascii") as f:
-        # (line number in the file, text) of the non-blank lines
-        lines = [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
+    lines = _numbered_lines(path)
     if not lines or lines[0][1] != PROFILE_HEADER:
         raise ValueError(
             f"{path}: expected header {PROFILE_HEADER!r}, "

@@ -6,6 +6,7 @@ synthetic bandwidth, and the compressed (baseband) pulse shape.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,18 @@ MAX_SHAPE_ENTRIES = 2**27
 
 class ConfigError(ValueError):
     """Invalid radar configuration or out-of-range index."""
+
+
+def check_int(name: str, value, low: int) -> int:
+    """value as an int, rejected unless it is an integer (numpy's count)
+    no smaller than low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,12 +78,8 @@ class RadarConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.n_pulses < 2:
-            raise ConfigError(f"n_pulses must be >= 2, got {self.n_pulses}")
-        if self.l_bins < 1:
-            raise ConfigError(f"l_bins must be >= 1, got {self.l_bins}")
-        if self.q_start < 0:
-            raise ConfigError(f"q_start must be >= 0, got {self.q_start}")
+        for name, low in (("n_pulses", 2), ("l_bins", 1), ("q_start", 0)):
+            check_int(name, getattr(self, name), low)
         # the product of two tiny positive steps can underflow to zero
         step = self.delta_f * self.delta_t
         samples = self.l_bins / step if step > 0 else math.inf

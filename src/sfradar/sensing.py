@@ -114,15 +114,6 @@ class SensingSystem:
             g[:, j:j + GRAM_BLOCK] *= e.T @ e[:, j:j + GRAM_BLOCK]
         return g
 
-    def row_gram(self) -> np.ndarray:
-        """Phi Phi^H (S*M x S*M), sample-major like y, as a new array.
-
-        Entry (s, m; s', m') sums E[s, p] E[s', p] exp(-j 2 pi (c_m - c_m') p / N)
-        over the cells; the phase only depends on n = p mod N, so it comes
-        from the S x S products stack[n] stack[n]^T (see _pulse_gram).
-        """
-        return _pulse_gram(self.radar.row_kernels, self.pulses)
-
 
 def _pulse_gram(b: np.ndarray, pulse_indices) -> np.ndarray:
     """Sample-major matrix over (sample, pulse) pairs from N real S x S kernels.
@@ -163,20 +154,21 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     """(Phi^H Phi + ridge I)^-1 Phi^H y from the smallest normal system.
 
     "rows": the push-through identity
-    (Phi^H Phi + r I)^-1 Phi^H = Phi^H (Phi Phi^H + r I)^-1. "columns": the
+    (Phi^H Phi + r I)^-1 Phi^H = Phi^H (Phi Phi^H + r I)^-1, Phi Phi^H from
+    the row kernels stack[n] stack[n]^T (see _pulse_gram). "columns": the
     NL x NL normal equations. "complement": with A the full train's
     Phi^H Phi + r I, block-diagonal over the fine index, and U the rows of
     the missing pulses, Phi^H Phi + r I = A - U^H U, and Woodbury gives
     (A - U^H U)^-1 = A^-1 + A^-1 U^H (I - U A^-1 U^H)^-1 U A^-1. A^-1 is N
     inverses of L x L; the capacitance matrix I - U A^-1 U^H comes from the
-    row_gram construction over stack[n] A_n^-1 stack[n]^T. U and U^H are the
+    same construction over stack[n] A_n^-1 stack[n]^T. U and U^H are the
     fold-and-FFT kernels restricted to the missing pulses. A^-1 and the
     capacitance kernels depend on the radar and the ridge only, and come
     from sys.radar, which keeps them per ridge.
     """
     form = _normal_form(sys)
     if form == "rows":
-        return _pulse_solve(sys.radar, sys.row_gram(), ridge, sys.y, sys.pulses)
+        return _pulse_solve(sys.radar, sys.radar.row_kernels, sys.pulses, ridge, sys.y)
     rhs = sys.adjoint(sys.y)
     if form == "columns":
         g = sys.gram()
@@ -187,13 +179,14 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     missing = np.setdiff1d(np.arange(radar.n_pulses), sys.pulses)
     x = radar.apply_blocks(a_inv, rhs)
     u_x = radar.echoes(x, missing).ravel(order="F")
-    v = _pulse_solve(radar, _pulse_gram(kernels, missing), 1.0, u_x, missing)
+    v = _pulse_solve(radar, kernels, missing, 1.0, u_x)
     return x + radar.apply_blocks(a_inv, v)
 
 
-def _pulse_solve(radar: _Radar, g: np.ndarray, shift: float, rhs, pulse_indices):
+def _pulse_solve(radar: _Radar, kernels, pulse_indices, shift: float, rhs):
     """Phi_c^H (g + shift I)^-1 rhs, Phi_c the rows of the given pulses and g
-    a sample-major _pulse_gram matrix over them, which is overwritten."""
+    the sample-major _pulse_gram matrix of the kernels over them."""
+    g = _pulse_gram(kernels, pulse_indices)
     g[np.diag_indices_from(g)] += shift
     return radar.backproject(np.linalg.solve(g, rhs), pulse_indices)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .echo import PulseSchedule, Trm
-from .model import ConfigError, PulseShape, RadarConfig
+from .model import ConfigError, PulseShape, RadarConfig, check_int
 from .sensing import SensingSystem, _ridge_solve, build_sensing_system
 
 TINY = np.finfo(float).tiny
@@ -51,18 +51,14 @@ class SolverOptions:
             v = getattr(self, f.name)
             if v is not None and not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_int("max_iters", self.max_iters, 1)
+        check_int("lambda_path_steps", self.lambda_path_steps, 1)
         for name in ("rel_change_tol", "epsilon_factor", "lambda_ratio"):
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
         if self.lambda_ratio >= 1:
             raise ConfigError(f"lambda_ratio must be < 1, got {self.lambda_ratio}")
-        if self.lambda_path_steps < 1:
-            raise ConfigError(
-                f"lambda_path_steps must be >= 1, got {self.lambda_path_steps}"
-            )
         if self.epsilon is not None and self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.ls_ridge is not None and not self.ls_ridge > 0:

@@ -246,6 +246,36 @@ def test_spec_validation(small_cfg):
         ExperimentSpec(radar=small_cfg, snr_db=(15.0, float("nan")))
 
 
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("sweep value", lambda cfg: ExperimentSpec(radar=cfg, sweep=(1.7,))),
+        ("seed", lambda cfg: ExperimentSpec(radar=cfg, seed=1.5)),
+        ("trials_per_point", lambda cfg: ExperimentSpec(radar=cfg, trials_per_point=1.5)),
+        ("pulse index", lambda cfg: echo.PulseSchedule((0, 1.5, 3), 4)),
+        ("n_pulses", lambda cfg: replace(cfg, n_pulses=16.0)),
+        ("l_bins", lambda cfg: replace(cfg, l_bins=2.5)),
+        ("max_iters", lambda cfg: SolverOptions(max_iters=2.5)),
+        ("n_scatterers", lambda cfg: SyntheticSparse(2.5)),
+        ("seed", lambda cfg: echo.NoiseModel(15.0, seed=-1)),
+    ],
+    ids=["sweep", "spec-seed", "trials", "schedule", "n_pulses", "l_bins",
+         "max_iters", "scatterers", "noise-seed"],
+)
+def test_integer_fields_are_checked_when_built(small_cfg, field, build):
+    # rejected with the field's name, not truncated or failing further on
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        build(small_cfg)
+
+
+def test_integer_fields_take_numpy_integers(small_cfg):
+    cfg = replace(small_cfg, n_pulses=np.int64(16), l_bins=np.int32(3))
+    spec = ExperimentSpec(radar=cfg, sweep=(np.int64(2),), seed=np.uint64(5),
+                          trials_per_point=np.int16(1))
+    assert spec.sweep == (2,) and type(spec.sweep[0]) is int
+    echo.PulseSchedule(np.arange(4), np.int64(4))
+
+
 def test_spec_rejects_more_scatterers_than_cells(small_cfg):
     # rejected when the spec is built, not by the first trial's draw
     with pytest.raises(ConfigError, match="scatterers"):

@@ -70,12 +70,14 @@ def test_trm_header_without_sigma_has_no_noise_level(tmp_path, cfg32, schedule):
 def test_trm_bad_sigma(tmp_path, cfg32, schedule, sigma):
     dest = tmp_path / "bad_sigma.trm"
     write_lines(dest, [header() + f" sigma={sigma}"] + ["0,0"] * (20 * 18))
-    with pytest.raises(TrmHeaderError, match="sigma (must|value)"):
+    with pytest.raises(TrmHeaderError, match="sigma (must|value)") as err:
         load_trm_file(dest, cfg32, schedule)
+    assert str(err.value).startswith(f"{dest}: ")
 
 
 def test_trm_single_column_round_trip(tmp_path):
-    # S = 1: the file has no column spacing to record
+    # S = 1: the file carries the real dt, and a one-column file written
+    # with dt=0 still loads, since one column has no spacing to check
     cfg = RadarConfig(
         f_c=5e9, delta_f=16e6, n_pulses=8, pulse_bandwidth=24e6, l_bins=1,
         delta_t=1 / 16e6,
@@ -89,7 +91,11 @@ def test_trm_single_column_round_trip(tmp_path):
     write_trm_file(trm, dest)
     loaded = load_trm_file(dest, cfg, schedule)
     assert np.array_equal(loaded.data, trm.data)
-    assert np.array_equal(loaded.col_instants, trm.col_instants)
+    assert loaded.delta_t == trm.delta_t == cfg.delta_t
+    first, *samples = dest.read_text(encoding="ascii").splitlines()
+    assert f" dt={cfg.delta_t:.17g} " in first
+    write_lines(dest, [first.replace(f"dt={cfg.delta_t:.17g}", "dt=0")] + samples)
+    assert np.array_equal(load_trm_file(dest, cfg, schedule).data, trm.data)
 
 
 def test_trm_all_zero_file(tmp_path, cfg32, schedule):
@@ -143,8 +149,9 @@ def test_trm_malformed_header(tmp_path, cfg32, schedule, bad):
     dest = tmp_path / "bad.trm"
     lines = ([bad] if bad else []) + ["0,0"] * (20 * 18)
     write_lines(dest, lines)
-    with pytest.raises(TrmHeaderError):
+    with pytest.raises(TrmHeaderError) as err:
         load_trm_file(dest, cfg32, schedule)
+    assert str(err.value).startswith(f"{dest}: ")
 
 
 @pytest.mark.parametrize("sample", ["nan,0", "0,inf", "abc,0", "1.0", "1,2,3"])

@@ -21,6 +21,8 @@ from sfradar import (
 from sfradar.echo import Trm, _Radar
 from sfradar.model import ConfigError
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
+from sfradar import sensing
+from sfradar.sensing import _normal_form, _pulse_gram
 from sfradar.solvers import operator_norm_sq, prox_gradient_l1
 from conftest import sparse_profile
 
@@ -144,28 +146,21 @@ def test_small_normal_forms_skip_the_column_gram(cfg32, ideal_shape, monkeypatch
     _, _, sys_ = radar_system(cfg32, ideal_shape, n_missing, rng, 24)
     exact = np.linalg.norm(sys_.phi, 2) ** 2
     full = full_train_norm_sq(cfg32, ideal_shape)
-    row_grams = []
-    row_gram = SensingSystem.row_gram
 
-    def no_gram(self):
+    def no_gram(*args):
         raise AssertionError("Gram matrix built for the norm")
 
     monkeypatch.setattr(SensingSystem, "gram", no_gram)
-    monkeypatch.setattr(SensingSystem, "row_gram", no_gram)
-    norm = operator_norm_sq(sys_)
+    with monkeypatch.context() as m:
+        m.setattr(sensing, "_pulse_gram", no_gram)
+        norm = operator_norm_sq(sys_)
     assert norm == pytest.approx(full, rel=1e-10)
     assert norm >= exact * (1 - 1e-12)
 
-    def counted_row_gram(self):
-        row_grams.append(self)
-        return row_gram(self)
-
-    monkeypatch.setattr(SensingSystem, "row_gram", counted_row_gram)
     fresh = with_y(sys_, sys_.y)  # no norm cached yet
     assert solve_least_squares(fresh).converged
-    # only the row form (20 missing: S*M = 216 < S(N - M) = 360) builds it,
-    # once, for the solve
-    assert len(row_grams) == (1 if n_missing == 20 else 0)
+    # only 20 missing takes the row form: S*M = 216 < S(N - M) = 360
+    assert _normal_form(fresh) == ("rows" if n_missing == 20 else "complement")
 
 
 def test_row_gram_memory(cfg32, ideal_shape):
@@ -173,7 +168,7 @@ def test_row_gram_memory(cfg32, ideal_shape):
     _, _, sys_ = radar_system(cfg32, ideal_shape, 20, rng, 24)
     tracemalloc.start()
     try:
-        gram = sys_.row_gram()
+        gram = _pulse_gram(sys_.radar.row_kernels, sys_.pulses)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -344,8 +339,7 @@ def test_every_route_rejects_a_non_finite_trm(cfg32, ideal_shape):
     schedule = random_missing_schedule(32, 4, seed=5)
     data = np.zeros((schedule.m_count, cfg32.n_samples), dtype=complex)
     data[3, 5] = np.nan
-    instants = np.arange(cfg32.n_samples) * cfg32.delta_t
-    trm = Trm(data, schedule.valid_indices, instants)
+    trm = Trm(data, schedule.valid_indices, cfg32.delta_t)
     sys_ = build_sensing_system(cfg32, ideal_shape, schedule, trm)
     for solve in (solve_sparse_l1, solve_least_squares):
         with pytest.raises(ValueError, match="non-finite"):
