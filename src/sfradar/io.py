@@ -40,10 +40,17 @@ class TrmSampleError(TrmFileError):
     """Unparseable or non-finite sample in a TRM file."""
 
 
-def _numbered_lines(path) -> list:
-    """(line number in the file, text) of the non-blank lines of an ASCII file."""
-    with open(path, "r", encoding="ascii") as f:
-        return [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
+def _numbered_lines(path, error=ValueError) -> list:
+    """(line number in the file, text) of the non-blank lines of an ASCII file;
+    a line holding any other byte raises error, naming the file and line."""
+    # a byte over 0x7f reads as one lone surrogate, U+DC80 to U+DCFF
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
+        lines = [(n, ln) for n, ln in enumerate(map(str.strip, f), 1) if ln]
+    for n, ln in lines:
+        if not ln.isascii():
+            byte = next(ord(c) - 0xDC00 for c in ln if not c.isascii())
+            raise error(f"{path}:{n}: non-ASCII byte {byte:#04x}")
+    return lines
 
 
 def _parse_header(line: str) -> dict:
@@ -78,9 +85,10 @@ def load_trm_file(path, cfg: RadarConfig, schedule: PulseSchedule) -> Trm:
     """Parse a recorded TRM file and validate it against cfg and schedule.
 
     Raises TrmHeaderError, TrmDimensionError or TrmSampleError with a
-    diagnostic naming what was expected and what was found.
+    diagnostic naming what was expected and what was found, and a plain
+    TrmFileError for a byte that is not ASCII.
     """
-    lines = _numbered_lines(path)
+    lines = _numbered_lines(path, TrmFileError)
     if not lines:
         raise TrmHeaderError(f"{path}: empty file")
     try:

@@ -21,7 +21,6 @@ PSL_FLOOR_DB = -300.0
 class SimilarityReport:
     similarity: float
     rel_l2_error: float
-    alignment_shift: int
 
 
 def _magnitudes(profile) -> np.ndarray:
@@ -35,7 +34,7 @@ def similarity(truth, estimate) -> SimilarityReport:
     <|truth|, shift(|estimate|, d)> / (|||truth||| * |||estimate|||),
     which is 1 exactly when the magnitude profiles are positive scalar
     multiples of each other at the best shift, and 0 for a zero-valued
-    estimate. Ties in the shift search resolve to the smallest |d|.
+    estimate.
     """
     error = rel_l2_error(truth, estimate)  # checks the lengths and the truth
     a = _magnitudes(truth)
@@ -44,26 +43,17 @@ def similarity(truth, estimate) -> SimilarityReport:
     norm_b = float(np.linalg.norm(b))
 
     best_score = 0.0
-    best_shift = 0
     if norm_b > 0.0:
         n = a.size
         bound = n // SHIFT_BOUND_DIVISOR
-        # row d + bound is np.roll(b, d), for d in [-bound, bound]: windows
-        # of b padded circularly by bound on each side, without a copy
+        # row k is np.roll(b, bound - k), so the rows span the shifts d in
+        # [-bound, bound]: windows of b padded circularly by bound on each
+        # side, without a copy
         padded = np.concatenate((b[n - bound:], b, b[:bound]))
-        scores = (sliding_window_view(padded, n)[::-1] @ a) / (norm_a * norm_b)
-        d = np.arange(-bound, bound + 1)
-        shifts = d[np.argsort(np.abs(d), kind="stable")]  # 0, -1, 1, -2, ...
-        scores = scores[shifts + bound]
-        k = int(np.argmax(scores))  # the first maximum in search order
-        best_score = min(float(scores[k]), 1.0)
-        best_shift = int(shifts[k])
+        scores = (sliding_window_view(padded, n) @ a) / (norm_a * norm_b)
+        best_score = min(float(scores.max()), 1.0)
 
-    return SimilarityReport(
-        similarity=best_score,
-        rel_l2_error=error,
-        alignment_shift=best_shift,
-    )
+    return SimilarityReport(similarity=best_score, rel_l2_error=error)
 
 
 def rel_l2_error(truth, estimate) -> float:

@@ -116,11 +116,6 @@ class RadarConfig:
         return self.q_start * self.coarse_bin_extent
 
     @property
-    def gate_depth(self) -> float:
-        """Total gate depth in metres, l_bins coarse bins."""
-        return self.l_bins * self.coarse_bin_extent
-
-    @property
     def n_cells(self) -> int:
         """Number of fine range cells across the gate, n_pulses * l_bins."""
         return self.n_pulses * self.l_bins
@@ -129,8 +124,8 @@ class RadarConfig:
     def n_samples(self) -> int:
         """Fast-time samples per pulse covering the gate.
 
-        Nearest integer of 2 * gate_depth / (c * delta_t); exact for the
-        default sampling interval.
+        Nearest integer of the gate's two-way delay, l_bins / delta_f, over
+        delta_t; exact for the default sampling interval.
         """
         return round(self.l_bins / (self.delta_f * self.delta_t))
 
@@ -184,17 +179,6 @@ class PulseShape:
     @classmethod
     def ideal_sinc(cls, bandwidth: float) -> "PulseShape":
         return cls(bandwidth=bandwidth)
-
-    @classmethod
-    def windowed_sinc(
-        cls, bandwidth: float, window: str, truncation_halfwidth: float
-    ) -> "PulseShape":
-        return cls(
-            bandwidth=bandwidth,
-            kind="windowed_sinc",
-            window=window,
-            truncation_halfwidth=truncation_halfwidth,
-        )
 
 
 def pulse_shape_eval(shape: PulseShape, tau):

@@ -38,10 +38,13 @@ class SensingSystem:
     sample s = 0 first, then s = 1, and so on, so row i is
     (pulse pulses[i % M], sample i // M). The system is matrix-free: it
     holds its radar's shared _Radar and adds the valid pulse indices,
-    their circulant and their gathers.
+    their circulant and their gathers. It rejects a non-finite
+    observation, so no solver sees one.
     """
 
     def __init__(self, y, noise_sigma, radar: _Radar, pulses):
+        if not np.all(np.isfinite(y)):
+            raise ValueError("sensing system contains non-finite entries")
         self.y = y
         self.noise_sigma = noise_sigma
         self.radar = radar

@@ -88,7 +88,6 @@ class RecoveryResult:
     """
 
     h_est: np.ndarray
-    method: str
     residual_l2: float
     iterations: int
     converged: bool
@@ -173,16 +172,10 @@ def prox_gradient_l1(
     return x, iters
 
 
-def _check_finite(sys: SensingSystem) -> None:
-    """Reject a non-finite observation; the radar checked its shape matrix."""
-    if not np.all(np.isfinite(sys.y)):
-        raise ValueError("sensing system contains non-finite entries")
-
-
-def _result(sys, method, h, iterations, converged, eps) -> RecoveryResult:
+def _result(sys, h, iterations, converged, eps) -> RecoveryResult:
     """The RecoveryResult of estimate h, its residual recomputed on sys."""
     residual = float(np.linalg.norm(sys.y - sys.apply(h)))
-    return RecoveryResult(h, method, residual, iterations, converged, eps)
+    return RecoveryResult(h, residual, iterations, converged, eps)
 
 
 def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
@@ -197,7 +190,6 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
     iterate is returned with converged=False.
     """
     opts = opts or SolverOptions()
-    _check_finite(sys)
     eps = float(opts.resolve_epsilon(sys))
     b = sys.adjoint(sys.y)
     lam_max = float(np.max(np.abs(b)))
@@ -207,7 +199,7 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
         # either the zero profile meets the budget, and it minimizes the l1
         # norm, or y is orthogonal to the operator range and no estimate
         # can shrink the residual below ||y||, which exceeds eps
-        return _result(sys, "sparse_l1", x, 0, feasible, eps)
+        return _result(sys, x, 0, feasible, eps)
 
     step = 1.0 / (1.01 * operator_norm_sq(sys))
     total_iters = 0
@@ -220,10 +212,10 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
         total_iters += iters
         residual = float(np.linalg.norm(sys.y - sys.apply(x)))
         if residual <= eps:
-            return _result(sys, "sparse_l1", x, total_iters, True, eps)
+            return _result(sys, x, total_iters, True, eps)
         if residual < best_residual:
             best_residual, best_x = residual, x
-    return _result(sys, "sparse_l1", best_x, total_iters, False, eps)
+    return _result(sys, best_x, total_iters, False, eps)
 
 
 def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
@@ -235,11 +227,10 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     NL x NL at the default sampling.
     """
     opts = opts or SolverOptions()
-    _check_finite(sys)
     ridge = opts.ls_ridge
     if ridge is None:
         ridge = 1e-6 * operator_norm_sq(sys)
-    return _result(sys, "least_squares", _ridge_solve(sys, ridge), 0, True, None)
+    return _result(sys, _ridge_solve(sys, ridge), 0, True, None)
 
 
 def stretch_bin_columns(cfg: RadarConfig) -> list:
@@ -263,11 +254,10 @@ def solve_stretch_idft(trm: Trm, cfg: RadarConfig, shape: PulseShape) -> Recover
     """
     schedule = PulseSchedule(trm.row_pulse_indices, cfg.n_pulses)
     sys = build_sensing_system(cfg, shape, schedule, trm)
-    _check_finite(sys)
     grid = np.zeros((cfg.n_pulses, trm.data.shape[1]), dtype=np.complex128)
     grid[sys.pulses, :] = trm.data
 
     # (L, N): bin-wise inverse DFTs, (1/N) sum_n x_n exp(+j 2 pi n k / N)
     segments = np.fft.ifft(grid[:, stretch_bin_columns(cfg)].T)
     full = schedule.m_count == cfg.n_pulses
-    return _result(sys, "stretch_idft", segments.reshape(-1), 0, full, None)
+    return _result(sys, segments.reshape(-1), 0, full, None)

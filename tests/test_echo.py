@@ -8,6 +8,7 @@ from sfradar import (
     NoiseModel,
     PulseSchedule,
     RangeProfile,
+    Trm,
     build_trm,
     random_missing_schedule,
 )
@@ -120,6 +121,8 @@ def test_trm_dimensions_and_row_tags(cfg32, ideal_shape):
     assert trm.data.shape == (20, 18)
     assert trm.row_pulse_indices == schedule.valid_indices
     assert trm.delta_t == 1 / 24e6
+    with pytest.raises(ConfigError, match="does not match 20 rows"):
+        Trm(trm.data[1:], trm.row_pulse_indices, trm.delta_t)
 
 
 def test_trm_entries_match_echo_samples(cfg32, ideal_shape):

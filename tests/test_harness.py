@@ -512,9 +512,12 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
     ("max_iters = 4000", "max_iters = 4000\naccelerate = true",
      "unknown key 'accelerate' in [solver]"),
     ("max_iters = 4000", "max_iters = 4000\nls_ridge = inf", "ls_ridge must be finite"),
+    ("kind = synthetic", "kind = bogus", "unknown [target] kind 'bogus'"),
+    ("[target]", "[pulse_shape]\nkind = bogus\n\n[target]",
+     "unknown [pulse_shape] kind 'bogus'"),
 ], ids=["radar_value", "radar_check", "list_value", "experiment_value",
         "solver_check", "solver_value", "negative_seed", "shape_too_large",
-        "accelerate", "solver_not_finite"])
+        "accelerate", "solver_not_finite", "target_kind", "pulse_shape_kind"])
 def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD_CONFIG.replace(old, new))

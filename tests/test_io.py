@@ -142,12 +142,16 @@ def test_trm_dt_mismatch(tmp_path, cfg32, schedule):
         "SFRTRM v1 M=20 S=18 dt=4.2e-08",
         "SFRTRM v1 M=20 S=18 dt=4.2e-08 order=row-major noise=0.1",
         "SFRTRM v1 M=20 S=18 dt=4.2e-08 order=row-major sigma=0 sigma=0",
+        "SFRTRM v1 M=0 S=18 dt=4.2e-08 order=row-major",
+        "SFRTRM v1 M=20 S=0 dt=4.2e-08 order=row-major",
         "",
+        None,
     ],
 )
 def test_trm_malformed_header(tmp_path, cfg32, schedule, bad):
+    # "" drops the header line; None leaves a file of one blank line
     dest = tmp_path / "bad.trm"
-    lines = ([bad] if bad else []) + ["0,0"] * (20 * 18)
+    lines = [""] if bad is None else ([bad] if bad else []) + ["0,0"] * (20 * 18)
     write_lines(dest, lines)
     with pytest.raises(TrmHeaderError) as err:
         load_trm_file(dest, cfg32, schedule)
@@ -170,6 +174,24 @@ def test_trm_sample_error_names_its_line_in_the_file(tmp_path, cfg32, schedule):
     write_lines(dest, lines)
     with pytest.raises(TrmSampleError, match=r"blank_lines\.trm:5: unparseable"):
         load_trm_file(dest, cfg32, schedule)
+
+
+@pytest.mark.parametrize("kind", ["capture", "profile"])
+def test_non_ascii_byte_names_its_file_and_line(tmp_path, cfg32, schedule, kind):
+    # a UTF-8 e-acute in the second row, line 4 with the blank line counted;
+    # a capture's error stays a TrmFileError
+    if kind == "capture":
+        first, rows = header(), ["0,0"] * (20 * 18)
+        load, error = lambda: load_trm_file(dest, cfg32, schedule), TrmFileError
+    else:
+        first, rows = "range_m,magnitude,phase_rad", ["0,1,0"] * 3
+        load, error = lambda: load_profile_csv(dest), ValueError
+    rows[1] = "0.5\u00e9,0" if kind == "capture" else "0,0.5\u00e9,0"
+    dest = tmp_path / f"{kind}.txt"
+    dest.write_bytes("\n".join([first, ""] + rows).encode("utf-8") + b"\n")
+    with pytest.raises(error) as err:
+        load()
+    assert str(err.value).startswith(f"{dest}:4: non-ASCII byte 0xc3")
 
 
 def test_trm_error_hierarchy():

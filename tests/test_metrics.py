@@ -24,7 +24,6 @@ def test_similarity_identity():
     h = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     report = similarity(h, h)
     assert report.similarity == pytest.approx(1.0, abs=1e-12)
-    assert report.alignment_shift == 0
     assert report.rel_l2_error == 0.0
 
 
@@ -50,7 +49,6 @@ def test_similarity_disjoint_supports_and_shift_search():
     oracle = brute_force_similarity(truth, estimate, n // 8)
     assert report.similarity == pytest.approx(oracle, abs=1e-12)
     assert report.similarity == pytest.approx(1.0, abs=1e-12)  # comb realigns
-    assert report.alignment_shift != 0
 
 
 def test_similarity_matches_brute_force_on_random_profiles():
@@ -64,20 +62,17 @@ def test_similarity_matches_brute_force_on_random_profiles():
 
 
 def shift_search_oracle(a, b):
-    """(score, shift) of the loop over shifts 0, -1, 1, -2, 2, ... to n // 8:
-    the first strictly best shift wins, so ties go to the smallest |d|, -d
-    before +d."""
+    """The best score of a loop over the shifts d in [-n // 8, n // 8]."""
     a = np.abs(np.asarray(a))
     b = np.abs(np.asarray(b))
     n = a.size
     cells = np.arange(n)
     denom = np.linalg.norm(a) * np.linalg.norm(b)
-    best, best_shift = 0.0, 0
-    for d in [0] + [s for k in range(1, n // 8 + 1) for s in (-k, k)]:
+    best = 0.0
+    for d in range(-(n // 8), n // 8 + 1):
         score = float(np.dot(a, b[(cells - d) % n])) / denom
-        if score > best:
-            best, best_shift = score, d
-    return best, best_shift
+        best = max(best, score)
+    return best
 
 
 @pytest.mark.parametrize("n", [384, 1024])
@@ -92,18 +87,16 @@ def test_similarity_shift_search_matches_loop_oracle(n):
         extra = rng.choice(n, n // 32, replace=False)
         estimate[extra] += 0.3 * rng.standard_normal(extra.size)
         report = similarity(truth, estimate)
-        score, shift = shift_search_oracle(truth, estimate)
+        score = shift_search_oracle(truth, estimate)
         assert report.similarity == pytest.approx(min(score, 1.0), rel=1e-12)
-        assert report.alignment_shift == shift
 
 
-def test_similarity_shift_tie_resolves_to_negative_shift():
+def test_similarity_shift_tie_scores_one_spike():
     truth = np.zeros(64, dtype=complex)
     truth[20] = 1.0
     estimate = np.zeros(64, dtype=complex)
     estimate[[17, 23]] = 1.0  # shifts -3 and +3 align one spike each
     report = similarity(truth, estimate)
-    assert report.alignment_shift == -3
     assert report.similarity == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 

@@ -53,7 +53,7 @@ def test_gate_depth_matches_direct_formula():
     )
     depth = 3e8 * 12 / (2 * 16e6)  # independent evaluation
     assert depth == 112.5
-    assert cfg.gate_depth == pytest.approx(depth, rel=1e-15)
+    assert cfg.l_bins * cfg.coarse_bin_extent == pytest.approx(depth, rel=1e-15)
     # axis spacing times number of cells covers the gate depth
     axis = range_axis(cfg)
     spacing = axis[1] - axis[0]
@@ -65,8 +65,9 @@ def test_coarse_bin_is_n_fine_cells(cfg32):
 
 
 def test_sample_count_matches_direct_formula(cfg32):
-    # 2 * gate_depth / (c * delta_t), evaluated independently
-    s = round(2 * cfg32.gate_depth / (cfg32.c_light * cfg32.delta_t))
+    # 2 * gate depth / (c * delta_t), evaluated independently
+    depth = cfg32.l_bins * cfg32.c_light / (2 * cfg32.delta_f)
+    s = round(2 * depth / (cfg32.c_light * cfg32.delta_t))
     assert s == 18
     assert cfg32.n_samples == s
 
@@ -141,9 +142,9 @@ def test_pulse_shape_peak_dominates_dense_grid():
     taus = np.linspace(-4 / 24e6, 4 / 24e6, 4001)
     for shape in (
         PulseShape.ideal_sinc(24e6),
-        PulseShape.windowed_sinc(24e6, "hamming", 2 / 24e6),
-        PulseShape.windowed_sinc(24e6, "hann", 2 / 24e6),
-        PulseShape.windowed_sinc(24e6, "rect", 2 / 24e6),
+        PulseShape(24e6, "windowed_sinc", "hamming", 2 / 24e6),
+        PulseShape(24e6, "windowed_sinc", "hann", 2 / 24e6),
+        PulseShape(24e6, "windowed_sinc", "rect", 2 / 24e6),
     ):
         vals = pulse_shape_eval(shape, taus)
         assert np.max(np.abs(vals)) <= pulse_shape_eval(shape, 0.0) + 1e-12
@@ -154,7 +155,7 @@ def test_pulse_shape_even_symmetry():
     taus = np.linspace(0, 3 / 24e6, 301)
     for shape in (
         PulseShape.ideal_sinc(24e6),
-        PulseShape.windowed_sinc(24e6, "hann", 1.5 / 24e6),
+        PulseShape(24e6, "windowed_sinc", "hann", 1.5 / 24e6),
     ):
         left = pulse_shape_eval(shape, -taus)
         right = pulse_shape_eval(shape, taus)
@@ -162,7 +163,7 @@ def test_pulse_shape_even_symmetry():
 
 
 def test_windowed_sinc_zero_outside_support():
-    shape = PulseShape.windowed_sinc(24e6, "hamming", 1 / 24e6)
+    shape = PulseShape(24e6, "windowed_sinc", "hamming", 1 / 24e6)
     assert pulse_shape_eval(shape, 1.0001 / 24e6) == 0.0
     assert pulse_shape_eval(shape, -5 / 24e6) == 0.0
     assert pulse_shape_eval(shape, 0.999 / 24e6) != 0.0
@@ -170,8 +171,10 @@ def test_windowed_sinc_zero_outside_support():
 
 def test_windowed_sinc_validation():
     with pytest.raises(ConfigError):
-        PulseShape.windowed_sinc(24e6, "blackman", 1e-6)
+        PulseShape(24e6, "windowed_sinc", "blackman", 1e-6)
     with pytest.raises(ConfigError):
         PulseShape(bandwidth=24e6, kind="windowed_sinc", window="hann")
+    with pytest.raises(ConfigError, match="unknown pulse shape kind 'bogus'"):
+        PulseShape(bandwidth=24e6, kind="bogus")
     with pytest.raises(ConfigError):
         PulseShape(bandwidth=-1.0)

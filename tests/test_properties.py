@@ -62,8 +62,8 @@ def systems(draw, full=None, form=None):
     if draw(st.booleans()):
         shape = PulseShape.ideal_sinc(bandwidth)
     else:
-        shape = PulseShape.windowed_sinc(
-            bandwidth, draw(st.sampled_from(WINDOWS)),
+        shape = PulseShape(
+            bandwidth, "windowed_sinc", draw(st.sampled_from(WINDOWS)),
             draw(st.floats(0.5, 4.0)) / bandwidth,
         )
     if form is None and full is None:

@@ -7,6 +7,7 @@ from sfradar import (
     ConfigError,
     PulseSchedule,
     RangeProfile,
+    Trm,
     build_sensing_system,
     build_trm,
     random_missing_schedule,
@@ -154,8 +155,14 @@ def test_system_rejects_mismatched_trm(cfg32, ideal_shape):
     schedule_b = random_missing_schedule(32, 12, seed=2)
     trm = build_trm(profile, schedule_a, ideal_shape)
     assert schedule_a.valid_indices != schedule_b.valid_indices
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="row pulse indices"):
         build_sensing_system(cfg32, ideal_shape, schedule_b, trm)
+    # a schedule for another pulse count, and a TRM one sample short
+    with pytest.raises(ConfigError, match="schedule is for 16 pulses"):
+        build_sensing_system(cfg32, ideal_shape, PulseSchedule.full(16), trm)
+    short = Trm(trm.data[:, 1:], trm.row_pulse_indices, trm.delta_t)
+    with pytest.raises(ConfigError, match="TRM shape"):
+        build_sensing_system(cfg32, ideal_shape, schedule_a, short)
 
 
 def test_radar_rejects_non_finite_shape_matrix():
