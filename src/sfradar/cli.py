@@ -30,24 +30,15 @@ from .model import ConfigError, range_axis
 from .sensing import build_sensing_system
 
 
-def _with_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if getattr(args, "method", None):
-        spec = replace(spec, solvers=tuple(args.method))
-    return spec
-
-
 def _outdir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def cmd_simulate(args) -> int:
-    spec = _with_overrides(load_experiment_spec(args.config), args)
+def cmd_simulate(spec: ExperimentSpec, args) -> int:
     cfg = spec.radar
-    missing, snr = spec.sweep[0], spec.snr_list[0]
+    missing, snr = spec.sweep[0], spec.snr_db[0]
     out = _outdir(args)
     truth, records, results = run_trial(spec, missing, snr, 0)
     axis = range_axis(cfg)
@@ -68,8 +59,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    spec = _with_overrides(load_experiment_spec(args.config), args)
+def cmd_sweep(spec: ExperimentSpec, args) -> int:
     records = run_experiment(spec)
     out = _outdir(args)
     dest = os.path.join(out, "trials.csv")
@@ -89,13 +79,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_recover(args) -> int:
-    spec = _with_overrides(load_experiment_spec(args.config), args)
+def cmd_recover(spec: ExperimentSpec, args) -> int:
     cfg = spec.radar
-    if spec.valid_pulses is not None:
-        schedule = PulseSchedule(spec.valid_pulses, cfg.n_pulses)
-    else:
-        schedule = PulseSchedule.full(cfg.n_pulses)
+    schedule = PulseSchedule(spec.valid_pulses, cfg.n_pulses)
     trm = load_trm_file(args.trm_file, cfg, schedule)
     sys_ = build_sensing_system(cfg, spec.shape, schedule, trm)
     out = _outdir(args)
@@ -159,7 +145,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = load_experiment_spec(args.config)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+        if getattr(args, "method", None):
+            spec = replace(spec, solvers=tuple(args.method))
+        return args.func(spec, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -297,7 +297,8 @@ def random_missing_schedule(
 
     Deterministic per seed; n_missing = 0 returns the full schedule.
     """
-    if not 0 <= n_missing < n_pulses:
+    n_missing = check_int("n_missing", n_missing, 0)
+    if n_missing >= n_pulses:
         raise ConfigError(
             f"n_missing must lie in [0, {n_pulses}), got {n_missing}"
         )

@@ -67,20 +67,23 @@ class ExperimentSpec:
     radar: RadarConfig
     target: SyntheticSparse | FileTarget = SyntheticSparse()
     sweep: tuple[int, ...] = (0,)
-    snr_db: float | tuple[float, ...] | None = None
+    snr_db: tuple[float | None, ...] = (None,)  # one value or None: a one-entry tuple
     trials_per_point: int = 1
     seed: int = 0
     solvers: tuple[str, ...] = DEFAULT_SOLVERS
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
     shape: PulseShape | None = None
-    valid_pulses: tuple[int, ...] | None = None  # recorded-data schedule (recover)
+    valid_pulses: tuple[int, ...] | None = None  # recover's schedule; None: the full train
 
     def __post_init__(self):
         check_int("trials_per_point", self.trials_per_point, 1)
         check_int("seed", self.seed, 0)
         sweep = tuple(check_int("sweep value", v, 0) for v in self.sweep)
         object.__setattr__(self, "sweep", sweep)
-        for name, values in (("sweep", sweep), ("snr_db", self.snr_list)):
+        snr = self.snr_db
+        snr = (snr,) if snr is None or isinstance(snr, (int, float)) else tuple(snr)
+        object.__setattr__(self, "snr_db", snr)
+        for name, values in (("sweep", sweep), ("snr_db", snr)):
             if not values or len(set(values)) < len(values):
                 raise ConfigError(f"{name} must list distinct values, got {values}")
         for v in sweep:
@@ -88,9 +91,9 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"sweep value {v} outside [0, {self.radar.n_pulses - 1}]"
                 )
-        for snr in self.snr_list:
-            if snr is not None and not math.isfinite(snr):
-                raise ConfigError(f"snr_db must be finite, got {snr}")
+        for v in snr:
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"snr_db must be finite, got {v}")
         if isinstance(self.target, FileTarget):
             path = str(self.target.path)
             try:
@@ -114,18 +117,14 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"unknown solver {name!r}; choose from {METHODS}"
                 )
-        if self.valid_pulses is not None:
-            PulseSchedule(self.valid_pulses, self.radar.n_pulses)
+        n_pulses = self.radar.n_pulses
+        pulses = range(n_pulses) if self.valid_pulses is None else self.valid_pulses
+        schedule = PulseSchedule(pulses, n_pulses)
+        object.__setattr__(self, "valid_pulses", schedule.valid_indices)
         if self.shape is None:
             object.__setattr__(
                 self, "shape", PulseShape.ideal_sinc(self.radar.pulse_bandwidth)
             )
-
-    @property
-    def snr_list(self) -> tuple:
-        if self.snr_db is None or isinstance(self.snr_db, (int, float)):
-            return (self.snr_db,)
-        return tuple(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,7 @@ def child_seed(seed: int, missing_count: int, trial: int, stream: int = 0) -> in
 
 def draw_synthetic_target(cfg: RadarConfig, n_scatterers: int, seed: int) -> RangeProfile:
     """Sparse profile with unit-mean Rayleigh magnitudes and uniform phases."""
+    check_int("n_scatterers", n_scatterers, 1)
     if n_scatterers > cfg.n_cells:
         raise ConfigError(
             f"cannot place {n_scatterers} scatterers in {cfg.n_cells} cells"
@@ -235,9 +235,7 @@ def _worker_count(workers: int | None) -> int:
             workers = int(raw)
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return check_int(THREADS_ENV, workers, 0) or os.cpu_count() or 1
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
@@ -251,7 +249,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     jobs = [
         (missing, snr, trial)
         for missing in spec.sweep
-        for snr in spec.snr_list
+        for snr in spec.snr_db
         for trial in range(spec.trials_per_point)
     ]
     n_workers = _worker_count(workers)
@@ -340,18 +338,15 @@ def _read_tuple(cast):
 
 
 def _read_snr(text: str):
-    """none (noiseless), one value, or a tuple of values."""
-    if text.lower() == "none":
-        return None
-    values = _read_tuple(float)(text)
-    return values[0] if len(values) == 1 else values
+    """(None,) for none (noiseless), else the tuple of values."""
+    return (None,) if text.lower() == "none" else _read_tuple(float)(text)
 
 
 # the reader of a config value for each field annotation
 _READERS = {
     int: int, float: float, float | None: float, str: str,
     tuple[int, ...]: _read_tuple(int), tuple[int, ...] | None: _read_tuple(int),
-    tuple[str, ...]: _read_tuple(str), float | tuple[float, ...] | None: _read_snr,
+    tuple[str, ...]: _read_tuple(str), tuple[float | None, ...]: _read_snr,
 }
 
 

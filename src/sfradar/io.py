@@ -178,8 +178,8 @@ def export_profile(values, axis: np.ndarray, path) -> None:
 def load_profile_csv(path) -> np.ndarray:
     """Read back a profile CSV into a complex vector.
 
-    A row that does not parse raises ValueError naming its line in the
-    file, blank lines counted.
+    A row whose three columns do not all parse to finite numbers raises
+    ValueError naming its line in the file, blank lines counted.
     """
     lines = _numbered_lines(path)
     if not lines or lines[0][1] != PROFILE_HEADER:
@@ -193,8 +193,10 @@ def load_profile_csv(path) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError(f"{path}:{n}: expected 3 columns, got {ln!r}")
         try:
-            mag, phase = float(parts[1]), float(parts[2])
+            range_m, mag, phase = map(float, parts)
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from exc
+        if not all(map(math.isfinite, (range_m, mag, phase))):
+            raise ValueError(f"{path}:{n}: non-finite value in {ln!r}")
         values.append(mag * complex(math.cos(phase), math.sin(phase)))
     return np.asarray(values, dtype=np.complex128)

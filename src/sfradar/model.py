@@ -155,7 +155,8 @@ class PulseShape:
     ``ideal_sinc`` is sin(pi B tau) / (pi B tau) with unit peak and nulls
     at every nonzero multiple of 1/B. ``windowed_sinc`` multiplies the
     sinc by a symmetric window over |tau| <= truncation_halfwidth and is
-    zero outside that support.
+    zero outside that support. An ideal sinc takes no window and no
+    halfwidth: it would ignore them.
     """
 
     bandwidth: float
@@ -164,17 +165,24 @@ class PulseShape:
     truncation_halfwidth: float | None = None
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ConfigError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+            raise ConfigError(
+                f"bandwidth must be positive and finite, got {self.bandwidth}"
+            )
         if self.kind not in ("ideal_sinc", "windowed_sinc"):
             raise ConfigError(f"unknown pulse shape kind {self.kind!r}")
-        if self.kind == "windowed_sinc":
-            if self.window not in WINDOWS:
-                raise ConfigError(f"unknown window {self.window!r}")
-            if self.truncation_halfwidth is None or not self.truncation_halfwidth > 0:
-                raise ConfigError(
-                    "windowed_sinc requires a positive truncation_halfwidth"
-                )
+        half = self.truncation_halfwidth
+        if self.kind == "ideal_sinc":
+            if self.window != "rect":
+                raise ConfigError(f"ideal_sinc takes no window, got {self.window!r}")
+            if half is not None:
+                raise ConfigError(f"ideal_sinc takes no truncation_halfwidth, got {half}")
+        elif self.window not in WINDOWS:
+            raise ConfigError(f"unknown window {self.window!r}")
+        elif half is None or not (half > 0 and math.isfinite(half)):
+            raise ConfigError(
+                f"truncation_halfwidth must be positive and finite, got {half}"
+            )
 
     @classmethod
     def ideal_sinc(cls, bandwidth: float) -> "PulseShape":
@@ -182,7 +190,8 @@ class PulseShape:
 
 
 def pulse_shape_eval(shape: PulseShape, tau):
-    """Evaluate the pulse shape at delay tau (scalar or array), in seconds.
+    """The pulse shape at delay tau (scalar or array), in seconds, as an
+    array of tau's shape.
 
     Real-valued and even in tau, so it is trivially Hermitian-symmetric.
     The removable singularity at tau = 0 evaluates to 1.
@@ -200,6 +209,4 @@ def pulse_shape_eval(shape: PulseShape, tau):
         else:
             win = np.ones_like(out)
         out = np.where(inside, out * win, 0.0)
-    if out.ndim == 0:
-        return float(out)
     return out

@@ -172,9 +172,12 @@ def prox_gradient_l1(
     return x, iters
 
 
-def _result(sys, h, iterations, converged, eps) -> RecoveryResult:
-    """The RecoveryResult of estimate h, its residual recomputed on sys."""
+def _result(sys, h, iterations, eps, converged=None) -> RecoveryResult:
+    """The RecoveryResult of estimate h, its residual recomputed on sys;
+    converged, unless given, is whether that residual meets the budget eps."""
     residual = float(np.linalg.norm(sys.y - sys.apply(h)))
+    if converged is None:
+        converged = residual <= eps
     return RecoveryResult(h, residual, iterations, converged, eps)
 
 
@@ -186,36 +189,32 @@ def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> Re
     solved by adaptive-restart accelerated proximal gradient
     (prox_gradient_l1) warm-started from the last,
     and the path stops at the largest penalty whose solution meets the
-    residual budget. If no level meets it the best (smallest-residual)
-    iterate is returned with converged=False.
+    residual budget. If no level meets it the last level's iterate is
+    returned with converged=False.
     """
     opts = opts or SolverOptions()
     eps = float(opts.resolve_epsilon(sys))
     b = sys.adjoint(sys.y)
     lam_max = float(np.max(np.abs(b)))
     x = np.zeros(sys.n_cells, dtype=np.complex128)
-    feasible = float(np.linalg.norm(sys.y)) <= eps
-    if feasible or lam_max == 0.0:
+    if float(np.linalg.norm(sys.y)) <= eps or lam_max == 0.0:
         # either the zero profile meets the budget, and it minimizes the l1
         # norm, or y is orthogonal to the operator range and no estimate
         # can shrink the residual below ||y||, which exceeds eps
-        return _result(sys, x, 0, feasible, eps)
+        return _result(sys, x, 0, eps)
 
     step = 1.0 / (1.01 * operator_norm_sq(sys))
     total_iters = 0
-    best_residual, best_x = math.inf, x
     for k in range(1, opts.lambda_path_steps + 1):
         lam = lam_max * opts.lambda_ratio**k
         x, iters = prox_gradient_l1(
             sys, b, lam, step, x, opts.max_iters, opts.rel_change_tol
         )
         total_iters += iters
-        residual = float(np.linalg.norm(sys.y - sys.apply(x)))
-        if residual <= eps:
-            return _result(sys, x, total_iters, True, eps)
-        if residual < best_residual:
-            best_residual, best_x = residual, x
-    return _result(sys, best_x, total_iters, False, eps)
+        result = _result(sys, x, total_iters, eps)
+        if result.converged:
+            break
+    return result
 
 
 def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
@@ -230,7 +229,7 @@ def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -
     ridge = opts.ls_ridge
     if ridge is None:
         ridge = 1e-6 * operator_norm_sq(sys)
-    return _result(sys, _ridge_solve(sys, ridge), 0, True, None)
+    return _result(sys, _ridge_solve(sys, ridge), 0, None, True)
 
 
 def stretch_bin_columns(cfg: RadarConfig) -> list:
@@ -260,4 +259,4 @@ def solve_stretch_idft(trm: Trm, cfg: RadarConfig, shape: PulseShape) -> Recover
     # (L, N): bin-wise inverse DFTs, (1/N) sum_n x_n exp(+j 2 pi n k / N)
     segments = np.fft.ifft(grid[:, stretch_bin_columns(cfg)].T)
     full = schedule.m_count == cfg.n_pulses
-    return _result(sys, segments.reshape(-1), 0, full, None)
+    return _result(sys, segments.reshape(-1), 0, None, full)

@@ -241,6 +241,8 @@ def test_random_missing_schedule_boundaries():
         random_missing_schedule(32, 32, seed=5)
     with pytest.raises(ConfigError):
         random_missing_schedule(32, -1, seed=5)
+    with pytest.raises(ConfigError, match="n_missing must be an integer"):
+        random_missing_schedule(16, 2.5, seed=5)
 
 
 def test_random_missing_schedule_shape_and_determinism():

@@ -81,6 +81,10 @@ def test_draw_synthetic_target_unit_mean_rayleigh(cfg32):
 def test_draw_synthetic_target_too_many(small_cfg):
     with pytest.raises(ConfigError):
         draw_synthetic_target(small_cfg, small_cfg.n_cells + 1, seed=0)
+    # too few: no scatterer at all, or a count that is not an integer
+    for n_scatterers in (0, 2.5):
+        with pytest.raises(ConfigError, match="n_scatterers"):
+            draw_synthetic_target(small_cfg, n_scatterers, seed=0)
 
 
 def test_run_experiment_record_grid(tiny_spec):
@@ -342,11 +346,13 @@ def test_load_experiment_spec(tmp_path):
     assert spec.radar.delta_t == pytest.approx(1 / 24e6)
     assert spec.target == SyntheticSparse(24)
     assert spec.sweep == (0, 4, 8, 12, 16, 20)
-    assert spec.snr_db == 15.0
+    assert spec.snr_db == (15.0,)
     assert spec.trials_per_point == 20
     assert spec.solvers == ("sparse_l1", "least_squares")
     assert spec.solver_opts.max_iters == 4000
     assert spec.shape == PulseShape.ideal_sinc(24e6)
+    # no valid_pulses: the full train
+    assert spec.valid_pulses == tuple(range(32))
 
 
 def test_load_experiment_spec_unknown_key(tmp_path):
@@ -382,16 +388,14 @@ ROUND_TRIP = [
     pytest.param("solvers", ("stretch_idft", "sparse_l1"), id="solvers"),
     pytest.param("trials_per_point", 3, id="trials_per_point"),
     pytest.param("seed", 42, id="seed"),
-    pytest.param("snr_db", 7.5, id="snr_db-one"),
+    pytest.param("snr_db", (7.5,), id="snr_db-one"),
     pytest.param("snr_db", (5.0, 25.0), id="snr_db-list"),
-    pytest.param("snr_db", None, id="snr_db-none"),
+    pytest.param("snr_db", (None,), id="snr_db-none"),
 ]
 
 
 def config_text(value) -> str:
     """value as a config file writes it."""
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ", ".join(map(str, value))
     return repr(value)
@@ -452,7 +456,7 @@ def test_load_experiment_spec_noiseless_and_schedule(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     spec = load_experiment_spec(path)
-    assert spec.snr_db is None
+    assert spec.snr_db == (None,)
     assert spec.valid_pulses == (0, 3, 5)
 
 
@@ -543,8 +547,14 @@ def test_worker_count_env(monkeypatch, small_cfg):
     monkeypatch.setenv("SFR_THREADS", "junk")
     with pytest.raises(ConfigError):
         _worker_count(None)
+    # only 0 means one worker per CPU: a negative count is an error
+    monkeypatch.setenv("SFR_THREADS", "-3")
+    with pytest.raises(ConfigError, match="SFR_THREADS"):
+        _worker_count(None)
     monkeypatch.delenv("SFR_THREADS")
     assert _worker_count(2) == 2
+    with pytest.raises(ConfigError, match="SFR_THREADS"):
+        _worker_count(-3)
 
 
 def test_worker_count_defaults_to_one(monkeypatch):

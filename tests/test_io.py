@@ -266,7 +266,11 @@ def test_load_profile_rejects_wrong_header(tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("0,1", r"q\.csv:5: expected 3 columns"),
     ("0,abc,0", r"q\.csv:5: could not convert string to float: 'abc'"),
-], ids=["columns", "value"])
+    ("abc,1,0", r"q\.csv:5: could not convert string to float: 'abc'"),
+    ("0,inf,0", r"q\.csv:5: non-finite value in '0,inf,0'"),
+    ("0,1,nan", r"q\.csv:5: non-finite value in '0,1,nan'"),
+    ("-inf,1,0", r"q\.csv:5: non-finite value in '-inf,1,0'"),
+], ids=["columns", "value", "range", "inf", "nan", "range-inf"])
 def test_profile_row_error_names_its_line_in_the_file(tmp_path, row, message):
     # blank lines after the header still count: the bad row is on line 5
     dest = tmp_path / "q.csv"

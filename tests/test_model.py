@@ -178,3 +178,14 @@ def test_windowed_sinc_validation():
         PulseShape(bandwidth=24e6, kind="bogus")
     with pytest.raises(ConfigError):
         PulseShape(bandwidth=-1.0)
+    # what an ideal sinc would ignore, and what could not be evaluated
+    for kwargs, field in [
+        (dict(window="hann", truncation_halfwidth=1e-7), "window"),
+        (dict(window="hann"), "window"),
+        (dict(truncation_halfwidth=1e-7), "truncation_halfwidth"),
+        (dict(bandwidth=math.inf), "bandwidth"),
+        (dict(kind="windowed_sinc", window="hann", truncation_halfwidth=math.inf),
+         "truncation_halfwidth"),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            PulseShape(**{"bandwidth": 24e6, **kwargs})

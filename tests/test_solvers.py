@@ -284,7 +284,7 @@ def test_sparse_many_missing_pulses_converge_quickly(cfg32, trial):
     assert rec.iterations <= 260
 
 
-def test_sparse_infeasible_budget_returns_best_iterate():
+def test_sparse_infeasible_budget_returns_last_iterate():
     # inconsistent overdetermined system: no estimate reaches a zero residual
     rng = np.random.default_rng(36)
     _, sys_ = random_system(8, 5, 2, 5, rng, k=3, noise=0.1)  # 40 rows, 10 cells
