@@ -45,6 +45,7 @@ from .solvers import (
     soft_threshold,
     solve_least_squares,
     solve_sparse_l1,
+    solve_sparse_l1_batch,
     solve_stretch_idft,
 )
 
@@ -85,6 +86,7 @@ __all__ = [
     "soft_threshold",
     "solve_least_squares",
     "solve_sparse_l1",
+    "solve_sparse_l1_batch",
     "solve_stretch_idft",
     "write_trials_csv",
     "write_trm_file",

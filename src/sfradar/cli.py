@@ -10,7 +10,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .harness import (
     write_trials_csv,
 )
 from .io import export_profile, load_trm_file
-from .model import ConfigError, range_axis
+from .model import ConfigError, check_int, range_axis
 from .sensing import build_sensing_system
 
 
@@ -145,12 +144,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        spec = load_experiment_spec(args.config)
+        overrides = {}
         if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+            # checked here, so that the error does not name the config file
+            overrides["seed"] = check_int("seed", args.seed, 0)
         if getattr(args, "method", None):
-            spec = replace(spec, solvers=tuple(args.method))
-        return args.func(spec, args)
+            overrides["solvers"] = tuple(args.method)
+        return args.func(load_experiment_spec(args.config, **overrides), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

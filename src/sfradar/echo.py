@@ -144,31 +144,45 @@ class _Radar:
         self.complement = lru_cache(maxsize=4)(self._complement)
 
     def _by_fine_index(self, mats: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """(N x K) complex: mats[n] (real, K x L) times the coarse bins of fine
-        index n of a profile, cells lN + n, one real (L x 2) product per n."""
+        """(... x N x K) complex: mats[n] (real, K x L) times the coarse bins of
+        fine index n of each profile, cells lN + n, one real (L x 2) product
+        per n. The profiles lie along the last axis of values."""
         n_pulses, _, l_bins = self.stack.shape
-        h = np.asarray(values, dtype=np.complex128).reshape(l_bins, n_pulses)
-        h = np.ascontiguousarray(h.T).view(np.float64).reshape(n_pulses, l_bins, 2)
+        h = np.ascontiguousarray(values, dtype=np.complex128)
+        lead = h.shape[:-1]
+        # the (L x 2) real matrices of the fine indices, strided views of h:
+        # BLAS reads them in place, with the digits of a contiguous copy
+        h = h.view(np.float64).reshape(*lead, l_bins, n_pulses, 2).swapaxes(-2, -3)
         return (mats @ h).view(np.complex128)[..., 0]
 
     def fold(self, values: np.ndarray) -> np.ndarray:
-        """Shape-weighted profile folded over the coarse bins, (N x S).
+        """Shape-weighted profiles folded over the coarse bins, (... x N x S).
 
         Entry (n, s) sums E[s, lN + n] h[lN + n] over l: stack[n] times the
-        coarse bins of fine index n.
+        coarse bins of fine index n. Leading axes of values are a batch of
+        profiles, each folded by the same products as on its own.
         """
         return self._by_fine_index(self.stack, values)
 
     def unfold(self, grid: np.ndarray) -> np.ndarray:
-        """Adjoint of fold: the profile that an (N x S) grid backs to.
+        """Adjoint of fold: the profiles that (... x N x S) grids back to.
 
         Weights each sample by its shape, one real (L x S) by (S x 2) product
-        per fine index, and lays the result out over the cells lN + n.
+        per fine index, and lays the result out over the cells lN + n. The
+        products run on the transposed view of the stack, never a copy: a
+        contiguous copy takes another BLAS path and moves last digits.
         """
         n_pulses, s_count, _ = self.stack.shape
-        w = grid.view(np.float64).reshape(n_pulses, s_count, 2)
+        lead = grid.shape[:-2]
+        w = grid.view(np.float64).reshape(*lead, n_pulses, s_count, 2)
         g = (self.stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
-        return g.T.ravel()
+        return g.swapaxes(-1, -2).reshape(*lead, -1)
+
+    def normal(self, circulants: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Phi^H Phi of each profile: fold, the schedule's N x N circulant
+        P^H P over the fine index, unfold. circulants (... x N x N) pairs one
+        schedule with each profile of values (... x NL)."""
+        return self.unfold(circulants @ self.fold(values))
 
     def apply_blocks(self, blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
         """A real block-diagonal matrix (N x L x L) times a profile: block n
@@ -303,6 +317,6 @@ def random_missing_schedule(
             f"n_missing must lie in [0, {n_pulses}), got {n_missing}"
         )
     rng = np.random.default_rng(seed)
-    missing = rng.choice(n_pulses, size=n_missing, replace=False)
-    keep = np.setdiff1d(np.arange(n_pulses), missing)
-    return PulseSchedule(tuple(int(i) for i in keep), n_pulses)
+    kept = np.ones(n_pulses, dtype=bool)
+    kept[rng.choice(n_pulses, size=n_missing, replace=False)] = False
+    return PulseSchedule(tuple(np.flatnonzero(kept).tolist()), n_pulses)

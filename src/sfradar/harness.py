@@ -20,6 +20,7 @@ from .echo import (
     NoiseModel,
     PulseSchedule,
     RangeProfile,
+    _radar_model,
     build_trm,
     random_missing_schedule,
 )
@@ -32,6 +33,7 @@ from .solvers import (
     SolverOptions,
     solve_least_squares,
     solve_sparse_l1,
+    solve_sparse_l1_batch,
     solve_stretch_idft,
 )
 
@@ -39,6 +41,12 @@ METHODS = ("sparse_l1", "least_squares", "stretch_idft")
 DEFAULT_SOLVERS = ("sparse_l1", "least_squares")
 DEFAULT_SCATTERERS = 24
 THREADS_ENV = "SFR_THREADS"
+# Bytes that the trials of one batch may hold between them. A trial holds
+# about 25 complex arrays of NL cells (its truth, TRM, observation, results
+# and solver state) and its N x N circulant: tracemalloc put it at 152 kB
+# at N=32, L=12 and 373 kB at N=64, L=16. 32 MB keeps the README sweep's
+# 120 trials in one batch; more trials per batch gained no speed there.
+BATCH_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -199,33 +207,61 @@ def solve_method(spec: ExperimentSpec, method: str, sys, trm) -> RecoveryResult:
     return solve_stretch_idft(trm, spec.radar, spec.shape)
 
 
-def run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> tuple:
-    """(truth, records, results) of one trial: every solver of the spec on
-    the trial's one observation, a TrialRecord and a RecoveryResult each."""
-    truth, trm, sys = draw_trial(spec, missing_count, snr_db, trial)
-    trial_seed = child_seed(spec.seed, missing_count, trial, 0)
-    records, results = [], []
-    for method in spec.solvers:
+def _solve_all(spec: ExperimentSpec, method: str, drawn) -> tuple:
+    """(results, wall times) of one method on each drawn trial. The sparse
+    route solves every trial in one batch, and each trial's time is the
+    batch's share of its iterations; the others time each trial alone."""
+    if method == "sparse_l1":
         start = time.perf_counter()
-        result = solve_method(spec, method, sys, trm)
+        results = solve_sparse_l1_batch([sys for _, _, sys in drawn], spec.solver_opts)
         wall = time.perf_counter() - start
-        report = similarity(truth.values, result.h_est)
-        results.append(result)
-        records.append(
-            TrialRecord(
-                seed=trial_seed,
-                missing_count=missing_count,
-                snr_db=snr_db,
-                trial=trial,
-                method=method,
-                similarity=report.similarity,
-                rel_l2_error=report.rel_l2_error,
-                residual_l2=result.residual_l2,
-                iterations=result.iterations,
-                wall_time_s=wall,
+        iters = [r.iterations for r in results]
+        total = sum(iters)
+        return results, [wall * (n / total if total else 1 / len(iters)) for n in iters]
+    results, walls = [], []
+    for _, trm, sys in drawn:
+        start = time.perf_counter()
+        results.append(solve_method(spec, method, sys, trm))
+        walls.append(time.perf_counter() - start)
+    return results, walls
+
+
+def run_batch(spec: ExperimentSpec, jobs) -> list:
+    """(truth, records, results) of each (missing count, SNR, trial) job:
+    every solver of the spec on the trial's one observation, a TrialRecord
+    and a RecoveryResult each. The jobs' sparse problems are solved
+    together; a job's records do not depend on the others in its batch."""
+    drawn = [draw_trial(spec, *job) for job in jobs]
+    solved = {method: _solve_all(spec, method, drawn) for method in spec.solvers}
+    trials = []
+    for k, ((missing_count, snr_db, trial), (truth, _, _)) in enumerate(zip(jobs, drawn)):
+        trial_seed = child_seed(spec.seed, missing_count, trial, 0)
+        records, results = [], []
+        for method in spec.solvers:
+            result, wall = solved[method][0][k], solved[method][1][k]
+            report = similarity(truth.values, result.h_est)
+            results.append(result)
+            records.append(
+                TrialRecord(
+                    seed=trial_seed,
+                    missing_count=missing_count,
+                    snr_db=snr_db,
+                    trial=trial,
+                    method=method,
+                    similarity=report.similarity,
+                    rel_l2_error=report.rel_l2_error,
+                    residual_l2=result.residual_l2,
+                    iterations=result.iterations,
+                    wall_time_s=wall,
+                )
             )
-        )
-    return truth, records, results
+        trials.append((truth, records, results))
+    return trials
+
+
+def run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> tuple:
+    """(truth, records, results) of one trial: the batch of one job."""
+    return run_batch(spec, [(missing_count, snr_db, trial)])[0]
 
 
 def _worker_count(workers: int | None) -> int:
@@ -242,9 +278,11 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
     """Run every (missing count, SNR, trial) cell of the spec.
 
     Returns one TrialRecord per requested solver per trial, sorted by
-    (missing_count, snr, trial, method). Trials run on one worker unless
-    the SFR_THREADS environment variable asks for a thread pool (0 = one
-    worker per CPU); records are identical across worker counts.
+    (missing_count, snr, trial, method). The trials run in batches that
+    hold at most BATCH_BYTES, on one worker unless the SFR_THREADS
+    environment variable asks for a thread pool (0 = one worker per CPU),
+    which splits them into one batch per worker; records are identical
+    across batch splits and worker counts.
     """
     jobs = [
         (missing, snr, trial)
@@ -253,12 +291,18 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
         for trial in range(spec.trials_per_point)
     ]
     n_workers = _worker_count(workers)
-    if n_workers == 1 or len(jobs) <= 1:
-        batches = [run_trial(spec, *job)[1] for job in jobs]
+    cfg = spec.radar
+    cap = max(1, BATCH_BYTES // (16 * (25 * cfg.n_cells + cfg.n_pulses**2)))
+    size = min(cap, -(-len(jobs) // n_workers))
+    batches = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+    if n_workers == 1 or len(batches) <= 1:
+        done = [run_batch(spec, batch) for batch in batches]
     else:
+        # the radar first, so that the threads' systems share one
+        _radar_model(spec.radar, spec.shape)
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            batches = list(pool.map(lambda job: run_trial(spec, *job)[1], jobs))
-    records = [rec for batch in batches for rec in batch]
+            done = list(pool.map(lambda batch: run_batch(spec, batch), batches))
+    records = [rec for trials in done for _, batch, _ in trials for rec in batch]
     records.sort(
         key=lambda r: (
             r.missing_count,
@@ -364,11 +408,13 @@ def _read_fields(section, cls) -> dict:
     return values
 
 
-def load_experiment_spec(path) -> ExperimentSpec:
+def load_experiment_spec(path, **overrides) -> ExperimentSpec:
     """Build an ExperimentSpec from a key-value config file.
 
     Unknown sections or keys are errors, not warnings: a silent typo
     would corrupt a sweep. Every error is a ConfigError naming the file.
+    overrides replace [experiment] values in the one construction of the
+    spec, so a file target is read once.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -378,13 +424,14 @@ def load_experiment_spec(path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cp.read_file(f)
-        return _spec_from_parser(cp)
+        return _spec_from_parser(cp, overrides)
     except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _spec_from_parser(cp) -> ExperimentSpec:
-    """The spec of a parsed config file; load_experiment_spec adds the path."""
+def _spec_from_parser(cp, overrides) -> ExperimentSpec:
+    """The spec of a parsed config file with the given [experiment] values
+    replaced; load_experiment_spec adds the path."""
     for name in cp.sections():
         if name not in _SCHEMA:
             raise ConfigError(f"unknown section [{name}]")
@@ -401,6 +448,6 @@ def _spec_from_parser(cp) -> ExperimentSpec:
         radar=radar,
         target=target_cls(**_read_fields(cp["target"], target_cls)),
         shape=shape,
-        **_read_fields(cp["experiment"], ExperimentSpec),
+        **{**_read_fields(cp["experiment"], ExperimentSpec), **overrides},
         solver_opts=SolverOptions(**_read_fields(cp["solver"], SolverOptions)),
     )

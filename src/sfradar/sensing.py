@@ -71,7 +71,7 @@ class SensingSystem:
         return (e[:, None, :] * phases[None, :, :]).reshape(-1, self.n_cells)
 
     @cached_property
-    def _circulant(self) -> np.ndarray:
+    def circulant(self) -> np.ndarray:
         """P^H P over the fine index, N x N: entry (n, n') is c[(n - n') mod N].
 
         c is the unscaled inverse FFT of the valid-pulse mask, so this is
@@ -98,9 +98,10 @@ class SensingSystem:
 
         Folds, multiplies by the circulant P^H P over the fine index and
         unfolds: adjoint(apply(h)) without the FFTs, the gather into
-        sample-major rows and the scatter back.
+        sample-major rows and the scatter back. The one-profile case of
+        _Radar.normal, which the sparse solver runs on a batch of systems.
         """
-        return self.radar.unfold(self._circulant @ self.radar.fold(h))
+        return self.radar.normal(self.circulant, h)
 
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
@@ -111,7 +112,7 @@ class SensingSystem:
         at a time, so the only NL x NL array is the result.
         """
         l_bins = self.n_cells // self.radar.n_pulses
-        g = np.tile(self._circulant, (l_bins, l_bins))
+        g = np.tile(self.circulant, (l_bins, l_bins))
         e = self.radar.envelopes
         for j in range(0, g.shape[1], GRAM_BLOCK):
             g[:, j:j + GRAM_BLOCK] *= e.T @ e[:, j:j + GRAM_BLOCK]
@@ -179,7 +180,9 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
         return np.linalg.solve(g, rhs)
     radar = sys.radar
     a_inv, kernels = radar.complement(ridge)
-    missing = np.setdiff1d(np.arange(radar.n_pulses), sys.pulses)
+    kept = np.zeros(radar.n_pulses, dtype=bool)
+    kept[sys.pulses] = True
+    missing = np.flatnonzero(~kept)
     x = radar.apply_blocks(a_inv, rhs)
     u_x = radar.echoes(x, missing).ravel(order="F")
     v = _pulse_solve(radar, kernels, missing, 1.0, u_x)

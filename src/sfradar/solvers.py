@@ -6,7 +6,10 @@ Three routes to an estimated range profile:
   residual budget, via accelerated proximal-gradient iteration (FISTA,
   Beck & Teboulle 2009) with gradient-scheme adaptive restart
   (O'Donoghue & Candes 2015) and complex soft-thresholding, on a
-  geometrically decreasing penalty continuation path.
+  geometrically decreasing penalty continuation path. The iteration runs
+  on a batch of systems of one radar at once (solve_sparse_l1_batch, the
+  sweep's route); one system is the batch of one, and a system's result
+  does not depend on the batch it is solved in.
 * ``solve_least_squares``: ridge-regularized least squares on the same
   linear model, solved through the normal equations.
 * ``solve_stretch_idft``: the classical per-column inverse DFT of the
@@ -94,15 +97,20 @@ class RecoveryResult:
     epsilon_used: float | None = None
 
 
-def soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
+def soft_threshold(z: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
     """Complex soft-thresholding: shrink moduli by t, preserve phases.
 
     Proximal operator of t * ||.||_1 for complex vectors:
-    z * max(1 - t / |z|, 0) elementwise, with 0 where z = 0.
+    z * max(1 - t / |z|, 0) elementwise, with 0 where z = 0. t may be an
+    array that broadcasts against z, one threshold per row. The result is
+    written to out, which may be z, else to a new array.
     """
-    mag = np.abs(z)
-    scale = np.maximum(1.0 - t / np.maximum(mag, TINY), 0.0)
-    return z * scale
+    scale = np.abs(z)
+    np.maximum(scale, TINY, out=scale)
+    np.divide(t, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    np.maximum(scale, 0.0, out=scale)
+    return np.multiply(z, scale, out=out)
 
 
 def operator_norm_sq(op: SensingSystem) -> float:
@@ -117,16 +125,11 @@ def operator_norm_sq(op: SensingSystem) -> float:
     return op.radar.norm_sq
 
 
-def prox_gradient_l1(
-    op: SensingSystem,
-    b: np.ndarray,
-    lam: float,
-    step: float,
-    x0: np.ndarray,
-    max_iters: int,
-    rel_change_tol: float,
-):
-    """Proximal-gradient descent on 0.5 ||y - Phi x||^2 + lam ||x||_1.
+def _prox_gradient(radar, circulants, b, lam, step, x0, max_iters, rel_change_tol):
+    """Proximal-gradient descent on 0.5 ||y_k - Phi_k x||^2 + lam_k ||x||_1
+    for K systems of one radar at once: row k of circulants (K x N x N), b
+    (Phi^H y, formed once by the caller) and x0 (the warm start), and entry
+    k of the sequences lam and step, belong to system k.
 
     Accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci.
     2009), reset whenever the step from the last iterate points against
@@ -136,40 +139,96 @@ def prox_gradient_l1(
     schedules and leaves the fixed point as it was. The first iteration
     of a call carries no momentum, so a one-iteration call is a plain
     proximal-gradient step. The gradient Phi^H Phi z - b is taken on the
-    normal operator, with b = Phi^H y formed once by the caller. Returns
-    (x, iterations), x a new array.
+    radar's normal operator with the system's circulant.
+
+    Each row keeps its momentum, restart and stopping test as Python
+    floats and leaves the arrays when it stops. The batched products and
+    the per-row inner products (np.vecdot sums like np.vdot) give each row
+    the digits it would get alone. step must not exceed the reciprocal of
+    the largest squared singular value of Phi_k. Returns (x, iterations):
+    x a new (K x n_cells) array, iterations a list of K counts.
+    """
+    x_out = np.empty_like(x0, dtype=np.complex128)
+    iterations = [max_iters] * len(x0)
+    rows = np.arange(len(x0))  # the output row of each running system
+    x = x0.astype(np.complex128, copy=True)
+    z = x.copy()
+    t = [1.0] * len(x0)
+    thresh = np.array(lam)[:, None] * np.array(step)[:, None]
+    # complex, as the products with complex arrays would cast them anyway
+    step = np.array(step, dtype=np.complex128)[:, None]
+    tol_sq = rel_change_tol * rel_change_tol
+    for k in range(1, max_iters + 1):
+        # the proximal step from z, z - step (Phi^H Phi z - b), in one
+        # buffer: the same operations as on new arrays, without allocating
+        x_new = radar.normal(circulants, z)
+        x_new -= b
+        np.multiply(step, x_new, out=x_new)
+        np.subtract(z, x_new, out=x_new)
+        soft_threshold(x_new, thresh, out=x_new)
+        delta = np.subtract(x_new, x, out=x)  # x and z are spent: reuse them
+        np.subtract(z, x_new, out=z)
+        uphill = np.vecdot(z, delta).tolist()
+        moved = np.vecdot(delta, delta).tolist()
+        size = np.vecdot(x_new, x_new).tolist()
+        momentum, running, stopped = [], [], []
+        for j, t_j in enumerate(t):
+            if uphill[j].real > 0:
+                # the momentum points uphill: restart it
+                t_j = 1.0
+            t[j] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_j * t_j))
+            momentum.append((t_j - 1.0) / t[j])
+            # ||delta|| < tol * max(||x||, 1e-12), on squared norms
+            if moved[j].real < tol_sq * max(size[j].real, 1e-24):
+                stopped.append(j)
+            else:
+                running.append(j)
+        np.multiply(np.array(momentum, dtype=np.complex128)[:, None], delta, out=delta)
+        z = np.add(x_new, delta, out=delta)
+        x = x_new
+        if stopped:
+            x_out[rows[stopped]] = x[stopped]
+            for j in stopped:
+                iterations[rows[j]] = k
+            if not running:
+                return x_out, iterations
+            rows, x, z, b, circulants = (a[running] for a in (rows, x, z, b, circulants))
+            step, thresh = step[running], thresh[running]
+            t = [t[j] for j in running]
+    x_out[rows] = x
+    return x_out, iterations
+
+
+def prox_gradient_l1(
+    op: SensingSystem,
+    b: np.ndarray,
+    lam: float,
+    step: float,
+    x0: np.ndarray,
+    max_iters: int,
+    rel_change_tol: float,
+):
+    """Proximal-gradient descent on 0.5 ||y - Phi x||^2 + lam ||x||_1 for one
+    system: the one-row case of the batched iteration, _prox_gradient.
+    Returns (x, iterations), x a new array.
 
     Parameters
     ----------
     op : SensingSystem
-        Supplies Phi^H Phi through its normal operator.
+        Supplies Phi^H Phi through its radar and circulant.
+    b : ndarray
+        Phi^H y.
     step : float
         Gradient step size; must not exceed the reciprocal of the largest
         squared singular value of Phi.
     x0 : ndarray
         Warm start.
     """
-    x = x0.astype(np.complex128, copy=True)
-    z = x.copy()
-    t = 1.0
-    iters = 0
-    tol_sq = rel_change_tol * rel_change_tol
-    for k in range(max_iters):
-        grad = op.normal(z) - b
-        x_new = soft_threshold(z - step * grad, lam * step)
-        iters = k + 1
-        delta = x_new - x
-        if np.vdot(z - x_new, delta).real > 0:
-            # the momentum points uphill: restart it
-            t = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * delta
-        t = t_new
-        x = x_new
-        # ||delta|| < tol * max(||x||, 1e-12), on squared norms
-        if np.vdot(delta, delta).real < tol_sq * max(np.vdot(x, x).real, 1e-24):
-            break
-    return x, iters
+    x, iterations = _prox_gradient(
+        op.radar, op.circulant[None], b[None], [lam], [step], x0[None],
+        max_iters, rel_change_tol,
+    )
+    return x[0], iterations[0]
 
 
 def _result(sys, h, iterations, eps, converged=None) -> RecoveryResult:
@@ -182,39 +241,70 @@ def _result(sys, h, iterations, eps, converged=None) -> RecoveryResult:
 
 
 def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
-    """Sparse recovery: min ||h||_1 subject to ||y - phi h||_2 <= epsilon.
+    """Sparse recovery of one system: the one-system case of
+    solve_sparse_l1_batch."""
+    return solve_sparse_l1_batch([sys], opts)[0]
+
+
+def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
+    """Sparse recovery: min ||h||_1 subject to ||y - phi h||_2 <= epsilon,
+    for each of several systems of one radar, in one iteration loop.
 
     Solved through the penalized form on a geometric continuation path:
     starting just below the penalty that zeroes everything, each level is
     solved by adaptive-restart accelerated proximal gradient
-    (prox_gradient_l1) warm-started from the last,
-    and the path stops at the largest penalty whose solution meets the
-    residual budget. If no level meets it the last level's iterate is
-    returned with converged=False.
+    (_prox_gradient) warm-started from the last, and a system's path stops
+    at the largest penalty whose solution meets its residual budget. If no
+    level meets it the last level's iterate is returned with
+    converged=False. Each system keeps its own budget, Phi^H y, penalty
+    and step; the systems still over budget step to the next level
+    together. A system's result does not depend on the others it is
+    solved with. Returns one RecoveryResult per system, in order.
     """
     opts = opts or SolverOptions()
-    eps = float(opts.resolve_epsilon(sys))
-    b = sys.adjoint(sys.y)
-    lam_max = float(np.max(np.abs(b)))
-    x = np.zeros(sys.n_cells, dtype=np.complex128)
-    if float(np.linalg.norm(sys.y)) <= eps or lam_max == 0.0:
-        # either the zero profile meets the budget, and it minimizes the l1
-        # norm, or y is orthogonal to the operator range and no estimate
-        # can shrink the residual below ||y||, which exceeds eps
-        return _result(sys, x, 0, eps)
+    radar = systems[0].radar
+    if any(s.radar is not radar for s in systems):
+        raise ValueError("the systems of one sparse batch must share one radar")
+    results = [None] * len(systems)
+    path = []  # (index, Phi^H y, penalty that zeroes everything, eps)
+    for i, sys in enumerate(systems):
+        eps = float(opts.resolve_epsilon(sys))
+        b = sys.adjoint(sys.y)
+        lam_max = float(np.max(np.abs(b)))
+        if float(np.linalg.norm(sys.y)) <= eps or lam_max == 0.0:
+            # either the zero profile meets the budget, and it minimizes the
+            # l1 norm, or y is orthogonal to the operator range and no
+            # estimate can shrink the residual below ||y||, which exceeds eps
+            results[i] = _result(sys, np.zeros(sys.n_cells, dtype=np.complex128), 0, eps)
+        else:
+            path.append((i, b, lam_max, eps))
+    if not path:
+        return results
 
-    step = 1.0 / (1.01 * operator_norm_sq(sys))
-    total_iters = 0
+    index, b, lam_max, eps = (list(v) for v in zip(*path))
+    b = np.stack(b)
+    circulants = np.stack([systems[i].circulant for i in index])
+    step = [1.0 / (1.01 * operator_norm_sq(systems[i])) for i in index]
+    x = np.zeros_like(b)
+    total_iters = [0] * len(index)
     for k in range(1, opts.lambda_path_steps + 1):
-        lam = lam_max * opts.lambda_ratio**k
-        x, iters = prox_gradient_l1(
-            sys, b, lam, step, x, opts.max_iters, opts.rel_change_tol
+        lam = [m * opts.lambda_ratio**k for m in lam_max]
+        x, iters = _prox_gradient(
+            radar, circulants, b, lam, step, x, opts.max_iters, opts.rel_change_tol
         )
-        total_iters += iters
-        result = _result(sys, x, total_iters, eps)
-        if result.converged:
+        over = []
+        for j, i in enumerate(index):
+            total_iters[j] += iters[j]
+            results[i] = _result(systems[i], x[j], total_iters[j], eps[j])
+            if not results[i].converged:
+                over.append(j)
+        if not over:
             break
-    return result
+        b, circulants, x = b[over], circulants[over], x[over]
+        index, lam_max, eps, step, total_iters = (
+            [v[j] for j in over] for v in (index, lam_max, eps, step, total_iters)
+        )
+    return results
 
 
 def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:

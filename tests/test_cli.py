@@ -7,13 +7,16 @@ from sfradar import (
     RadarConfig,
     build_trm,
     draw_synthetic_target,
+    export_profile,
     load_experiment_spec,
     load_profile_csv,
     random_missing_schedule,
+    range_axis,
     run_experiment,
     similarity,
     write_trm_file,
 )
+from sfradar import harness
 from sfradar.cli import main
 from sfradar.harness import METHODS, child_seed
 from sfradar.model import PulseShape
@@ -120,6 +123,31 @@ def test_sweep_seed_override_changes_rows(tmp_path, config_path):
     main(["sweep", "--config", config_path, "--out", str(out_a)])
     main(["sweep", "--config", config_path, "--out", str(out_b), "--seed", "1234"])
     assert read_trials(out_a / "trials.csv") != read_trials(out_b / "trials.csv")
+
+
+def test_overrides_read_a_file_target_once(tmp_path, monkeypatch):
+    # --seed and --method go into the one construction of the spec, which
+    # loads the target file: no second spec rereads it
+    cfg = RadarConfig(
+        f_c=5.0e9, delta_f=16e6, n_pulses=16, pulse_bandwidth=24e6, l_bins=3
+    )
+    truth = tmp_path / "truth.csv"
+    export_profile(draw_synthetic_target(cfg, 4, seed=3).values, range_axis(cfg), truth)
+    config = tmp_path / "file.cfg"
+    config.write_text(CONFIG.replace(
+        "kind = synthetic\nn_scatterers = 4", f"kind = file\npath = {truth}"
+    ))
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_profile_csv(path)
+
+    monkeypatch.setattr(harness, "load_profile_csv", counted)
+    rc = main(["simulate", "--config", str(config), "--seed", "5",
+               "--method", "sparse_l1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert loads == [str(truth)]
 
 
 def test_recover_from_trm_file(tmp_path, capsys):

@@ -27,6 +27,7 @@ from sfradar.harness import (
     TRIALS_CSV_HEADER,
     child_seed,
     format_trial_row,
+    run_trial,
 )
 
 
@@ -198,6 +199,53 @@ def test_run_experiment_file_target(tmp_path, small_cfg):
     )
     records = run_experiment(spec, workers=1)
     assert all(r.similarity >= 0.999 for r in records)
+
+
+# Noiseless trials (eps = 0) run every penalty level and leave the path
+# unconverged, and noisy ones stop at different iterations. Under the
+# explicit budget the trials whose ||y|| is within it take the zero-profile
+# exit while the others iterate.
+@pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(epsilon=5.5)],
+                         ids=["noise_budget", "explicit_epsilon"])
+def test_records_do_not_depend_on_the_batch(small_cfg, opts):
+    spec = ExperimentSpec(
+        radar=small_cfg, target=SyntheticSparse(4), sweep=(0, 5, 10),
+        snr_db=(None, 10.0, 30.0), trials_per_point=2, seed=17, solvers=METHODS,
+        solver_opts=opts,
+    )
+    batched = rows_without_walltime(run_experiment(spec, workers=1))
+    alone, sparse = [], {}
+    for missing in spec.sweep:
+        for snr in spec.snr_db:
+            for trial in range(spec.trials_per_point):
+                _, records, results = run_trial(spec, missing, snr, trial)
+                alone += rows_without_walltime(records)
+                sparse[missing, snr, trial] = results[0]
+    assert len(batched) == 54
+    assert sorted(batched) == sorted(alone)
+
+    iterations = [r.iterations for r in sparse.values()]
+    if opts.epsilon is None:
+        noiseless = [r for (_, snr, _), r in sparse.items() if snr is None]
+        assert not any(r.converged for r in noiseless)
+        noisy = [r for (_, snr, _), r in sparse.items() if snr is not None]
+        assert all(r.converged for r in noisy)
+        assert len({r.iterations for r in noisy}) > 1
+    else:
+        assert 0 < iterations.count(0) < len(iterations)
+
+
+def test_sparse_wall_time_is_the_batch_share_of_iterations(small_cfg):
+    spec = ExperimentSpec(
+        radar=small_cfg, target=SyntheticSparse(4), sweep=(0, 5, 10), snr_db=15.0,
+        trials_per_point=2, seed=17, solvers=("sparse_l1",),
+        solver_opts=SolverOptions(epsilon=5.5),
+    )
+    records = run_experiment(spec, workers=1)
+    per_iteration = [r.wall_time_s / r.iterations for r in records if r.iterations]
+    assert 0 < len(per_iteration) < len(records)
+    assert max(per_iteration) == pytest.approx(min(per_iteration), rel=1e-9)
+    assert all(r.wall_time_s == 0 for r in records if not r.iterations)
 
 
 # Written by write_trials_csv(run_experiment(GOLDEN_SPEC), path); rewrite it

@@ -24,7 +24,7 @@ from sfradar import (
     soft_threshold,
     solve_least_squares,
 )
-from sfradar.echo import _unit_noise
+from sfradar.echo import Trm, _unit_noise
 from sfradar.harness import child_seed, draw_synthetic_target
 from sfradar.model import WINDOWS
 from sfradar.sensing import _normal_form, _pulse_gram
@@ -251,6 +251,42 @@ def test_soft_threshold_minimises_the_prox_objective(seed, t):
         best = 0.5 * abs(ui - zi) ** 2 + t * abs(ui)
         assert best <= scan.min() + 1e-12 * (1 + abs(zi) ** 2)
         assert abs(abs(ui) - radii[np.argmin(scan)]) <= radii[1]
+
+
+# -- the batched normal operator --------------------------------------------------
+
+# the benchmark's two gates: N=32, L=12 and N=64, L=16
+BATCH_GATES = {
+    f"N{n}_L{l}": RadarConfig(
+        f_c=5e9, delta_f=DELTA_F, n_pulses=n, pulse_bandwidth=24e6, l_bins=l
+    )
+    for n, l in ((32, 12), (64, 16))
+}
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+@pytest.mark.parametrize("gate", BATCH_GATES)
+@settings(PROPERTY, max_examples=4)
+@given(st.integers(0, 2**32 - 1))
+def test_batched_normal_matches_single_calls_bit_for_bit(gate, k, seed):
+    # the sparse solver runs normal on a batch of systems, each with its
+    # own schedule; every row must carry the digits of its own single call
+    cfg = BATCH_GATES[gate]
+    shape = PulseShape.ideal_sinc(cfg.pulse_bandwidth)
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(k):
+        schedule = random_missing_schedule(
+            cfg.n_pulses, int(rng.integers(cfg.n_pulses)), int(rng.integers(2**32))
+        )
+        trm = Trm(np.zeros((schedule.m_count, cfg.n_samples)), schedule.valid_indices,
+                  cfg.delta_t)
+        systems.append(build_sensing_system(cfg, shape, schedule, trm))
+    h = rng.standard_normal((k, cfg.n_cells)) + 1j * rng.standard_normal((k, cfg.n_cells))
+    circulants = np.stack([s.circulant for s in systems])
+    batched = systems[0].radar.normal(circulants, h)
+    single = np.stack([s.normal(row) for s, row in zip(systems, h)])
+    assert np.array_equal(batched, single)
 
 
 # -- per-trial seed streams -------------------------------------------------------

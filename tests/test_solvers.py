@@ -16,6 +16,7 @@ from sfradar import (
     soft_threshold,
     solve_least_squares,
     solve_sparse_l1,
+    solve_sparse_l1_batch,
     solve_stretch_idft,
 )
 from sfradar.echo import Trm, _Radar
@@ -403,6 +404,14 @@ def test_prox_gradient_does_not_copy_the_operator(cfg32, ideal_shape):
         tracemalloc.stop()
     assert iters == 20
     assert peak < sys_.phi.nbytes / 4
+
+
+def test_sparse_batch_needs_one_radar(cfg32, ideal_shape):
+    rng = np.random.default_rng(47)
+    _, _, radar_sys = radar_system(cfg32, ideal_shape, 8, rng, 24)
+    _, other = random_system(6, 9, 5, 5, rng)
+    with pytest.raises(ValueError, match="one radar"):
+        solve_sparse_l1_batch([radar_sys, other])
 
 
 def test_solvers_never_build_the_dense_operator(cfg32, ideal_shape):
