@@ -9,6 +9,7 @@ radar model (_Radar) whose kernels are also the sensing operator's.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -130,7 +131,9 @@ class _Radar:
     [n, s, l] = E[s, lN + n]. Both are read-only and checked finite here.
     Echo synthesis and every sensing system of the radar share one
     instance: its kernels, and the full train's blocks and norm, the row
-    kernels and the per-ridge complement factors, built on first use.
+    kernels and the per-ridge complement factors, built on first use. It
+    also keeps one workspace per thread for the small normal systems of
+    least squares (workspace).
     """
 
     def __init__(self, envelopes: np.ndarray, n_pulses: int):
@@ -142,6 +145,22 @@ class _Radar:
         self.stack = _read_only(np.ascontiguousarray(stack))
         self.n_pulses = n_pulses
         self.complement = lru_cache(maxsize=4)(self._complement)
+        self._local = threading.local()
+
+    def workspace(self, size: int) -> np.ndarray:
+        """A complex size x size array in this thread's workspace, every
+        entry of which the caller overwrites.
+
+        The workspace grows to the largest size the thread has asked for and
+        is kept: a matrix allocated per solve landed, beside numpy's LU
+        copy, on pages the allocator had just handed back to the kernel,
+        and faulted them in again on every trial. Each thread has its own,
+        so threads may solve at once.
+        """
+        buf = getattr(self._local, "buf", None)
+        if buf is None or buf.size < size * size:
+            buf = self._local.buf = np.empty(size * size, dtype=np.complex128)
+        return buf[: size * size].reshape(size, size)
 
     def _by_fine_index(self, mats: np.ndarray, values: np.ndarray) -> np.ndarray:
         """(... x N x K) complex: mats[n] (real, K x L) times the coarse bins of

@@ -15,14 +15,15 @@ rows than unknowns and reconstruction needs a prior.
 The shape matrix and every kernel and factor that depends on it alone
 live in echo's _Radar, built once per (RadarConfig, PulseShape) value by
 _radar_model and shared by the echo synthesis and every system of that
-radar. A SensingSystem adds the observation and the schedule.
+radar. A SensingSystem adds the observation and the schedule, and forms
+Phi^H y once for every solver that reads it.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .echo import PulseSchedule, Trm, _Radar, _radar_model
+from .echo import PulseSchedule, Trm, _Radar, _radar_model, _read_only
 from .model import ConfigError, PulseShape, RadarConfig
 
 # Columns of E^T E formed at a time when assembling the Gram matrix. A
@@ -93,6 +94,12 @@ class SensingSystem:
         """Phi^H v."""
         return self.radar.backproject(v, self.pulses)
 
+    @cached_property
+    def adjoint_y(self) -> np.ndarray:
+        """Phi^H y, read-only: formed once per system and read by the sparse
+        and the least-squares routes alike."""
+        return _read_only(self.adjoint(self.y))
+
     def normal(self, h: np.ndarray) -> np.ndarray:
         """Phi^H Phi h, without leaving the full pulse grid.
 
@@ -119,21 +126,28 @@ class SensingSystem:
         return g
 
 
-def _pulse_gram(b: np.ndarray, pulse_indices) -> np.ndarray:
+def _pulse_gram(b: np.ndarray, pulse_indices, out=None) -> np.ndarray:
     """Sample-major matrix over (sample, pulse) pairs from N real S x S kernels.
 
     Entry (s, m; s', m') is sum_n exp(-j 2 pi (c_m - c_m') n / N) kernels[n, s, s'],
     that is b[(c_m - c_m') mod N, s, s'] with b the FFT of the kernels over
-    n, which the caller passes. Each pulse m gathers its row of b straight
-    into the final (S, M, S, M) layout.
+    n, which the caller passes. The matrix is column-major, the order
+    np.linalg.solve copies its input into for the LU, so that copy reads
+    straight through. Each pulse m' gathers its column of b into out, a
+    C-contiguous square array that holds the matrix transposed (a new one
+    if out is None), and the matrix is returned as out.T. Gathering all
+    pulses at once measured slower and needs a temporary as large as the
+    matrix.
     """
     n_pulses, s_count, _ = b.shape
     k = (pulse_indices[:, None] - pulse_indices[None, :]) % n_pulses
     m_count = k.shape[0]
-    g = np.empty((s_count, m_count, s_count, m_count), dtype=np.complex128)
+    if out is None:
+        out = np.empty((s_count * m_count,) * 2, dtype=np.complex128)
+    g_t = out.reshape(s_count, m_count, s_count, m_count)  # entry (s', m'; s, m)
     for m in range(m_count):
-        g[:, m] = b[k[m]].transpose(1, 2, 0)
-    return g.reshape(s_count * m_count, s_count * m_count)
+        g_t[:, m] = b[k[:, m]].transpose(2, 1, 0)
+    return out.T
 
 
 def _normal_form(sys: SensingSystem) -> str:
@@ -173,7 +187,7 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
     form = _normal_form(sys)
     if form == "rows":
         return _pulse_solve(sys.radar, sys.radar.row_kernels, sys.pulses, ridge, sys.y)
-    rhs = sys.adjoint(sys.y)
+    rhs = sys.adjoint_y
     if form == "columns":
         g = sys.gram()
         g[np.diag_indices_from(g)] += ridge
@@ -191,8 +205,10 @@ def _ridge_solve(sys: SensingSystem, ridge: float) -> np.ndarray:
 
 def _pulse_solve(radar: _Radar, kernels, pulse_indices, shift: float, rhs):
     """Phi_c^H (g + shift I)^-1 rhs, Phi_c the rows of the given pulses and g
-    the sample-major _pulse_gram matrix of the kernels over them."""
-    g = _pulse_gram(kernels, pulse_indices)
+    the sample-major _pulse_gram matrix of the kernels over them, gathered
+    into the radar's workspace for this thread."""
+    size = kernels.shape[1] * len(pulse_indices)
+    g = _pulse_gram(kernels, pulse_indices, radar.workspace(size))
     g[np.diag_indices_from(g)] += shift
     return radar.backproject(np.linalg.solve(g, rhs), pulse_indices)
 

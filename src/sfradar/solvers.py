@@ -269,7 +269,7 @@ def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
     path = []  # (index, Phi^H y, penalty that zeroes everything, eps)
     for i, sys in enumerate(systems):
         eps = float(opts.resolve_epsilon(sys))
-        b = sys.adjoint(sys.y)
+        b = sys.adjoint_y
         lam_max = float(np.max(np.abs(b)))
         if float(np.linalg.norm(sys.y)) <= eps or lam_max == 0.0:
             # either the zero profile meets the budget, and it minimizes the

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -205,6 +207,113 @@ def test_large_gate_least_squares_stays_below_one_column_gram(monkeypatch):
     gram[np.diag_indices_from(gram)] += ridge
     dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
     assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+def large_gate_systems(missing_and_seeds, rng):
+    """Systems of the N=64, L=16 radar, one per (missing count, schedule seed)."""
+    cfg = RadarConfig(
+        f_c=5.0e9, delta_f=16e6, n_pulses=64, pulse_bandwidth=24e6, l_bins=16
+    )
+    shape = PulseShape.ideal_sinc(cfg.pulse_bandwidth)
+    return [radar_system(cfg, shape, m, rng, 24, seed=s)[2] for m, s in missing_and_seeds]
+
+
+def in_new_thread(fn):
+    """fn() run in a new thread, whose workspaces start empty."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert out, "the thread raised"
+    return out[0]
+
+
+def test_second_least_squares_solve_allocates_no_capacitance_matrix():
+    # N=64, L=16, 16 missing: a 384 x 384 complex capacitance matrix, 2.4 MB.
+    # The first solve grows this thread's workspace, the second gathers into it
+    first, second = large_gate_systems([(16, 6), (16, 7)], np.random.default_rng(51))
+    assert _normal_form(second) == "complement"
+    solve_least_squares(first)
+    tracemalloc.start()
+    try:
+        solve_least_squares(second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = second.radar.envelopes.shape[0] * 16
+    assert size == 384
+    assert peak < 0.5 * size * size * np.dtype(np.complex128).itemsize
+
+
+def test_least_squares_in_a_used_workspace_matches_a_fresh_one():
+    # 16, then 4, then 16 missing in one thread: the 96 x 96 capacitance
+    # matrix lies in the front of the 384 x 384 workspace, and the last
+    # system gets a workspace full of the first one's entries. Each must
+    # read none of them.
+    systems = large_gate_systems([(16, 8), (4, 9), (16, 10)], np.random.default_rng(52))
+    assert [_normal_form(s) for s in systems] == ["complement"] * 3
+    fresh = [in_new_thread(lambda s=s: solve_least_squares(s).h_est) for s in systems]
+    in_turn = in_new_thread(lambda: [solve_least_squares(s).h_est for s in systems])
+    for h, ref in zip(in_turn, fresh):
+        assert np.array_equal(h, ref)
+
+
+def test_concurrent_least_squares_threads_match_serial_calls(cfg32, ideal_shape):
+    # more threads than CPUs, each solving its own system of the one shared
+    # radar over and over, with frequent switches: complement forms of 288
+    # and 144 rows, a row form of 216 rows
+    rng = np.random.default_rng(53)
+    systems = [
+        radar_system(cfg32, ideal_shape, m, rng, 24, seed=m)[2] for m in (16, 8, 20, 12)
+    ]
+    assert len({id(s.radar) for s in systems}) == 1
+    serial = [solve_least_squares(s).h_est for s in systems]
+    ROUNDS = 20
+    barrier = threading.Barrier(len(systems), timeout=60)
+    outs = [[] for _ in systems]
+
+    def work(s, out):
+        barrier.wait()
+        for _ in range(ROUNDS):
+            out.append(solve_least_squares(s).h_est)
+
+    threads = [threading.Thread(target=work, args=a) for a in zip(systems, outs)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out, ref in zip(outs, serial):
+        assert len(out) == ROUNDS
+        assert all(np.array_equal(h, ref) for h in out)
+
+
+def test_both_methods_form_phi_h_y_once(cfg32, ideal_shape, monkeypatch):
+    # the complement LS form and the sparse route read one cached Phi^H y
+    from sfradar import NoiseModel
+
+    _, _, sys_ = radar_system(
+        cfg32, ideal_shape, 8, np.random.default_rng(54), 24, NoiseModel(15.0, 3)
+    )
+    assert _normal_form(sys_) == "complement"
+    calls = []
+    adjoint = SensingSystem.adjoint
+
+    def counted(self, v):
+        calls.append(v)
+        return adjoint(self, v)
+
+    monkeypatch.setattr(SensingSystem, "adjoint", counted)
+    assert solve_sparse_l1(sys_).converged
+    solve_least_squares(sys_)
+    assert len(calls) == 1
+    assert not sys_.adjoint_y.flags.writeable
 
 
 @pytest.mark.parametrize("n_missing", [0, 8, 20])
