@@ -133,7 +133,10 @@ class _Radar:
     instance: its kernels, and the full train's blocks and norm, the row
     kernels and the per-ridge complement factors, built on first use. It
     also keeps one workspace per thread for the small normal systems of
-    least squares (workspace).
+    least squares (workspace): the sweep runs on one thread, but
+    solve_least_squares is public and every caller of one config gets this
+    instance, so callers that solve from their own threads must not share
+    one buffer.
     """
 
     def __init__(self, envelopes: np.ndarray, n_pulses: int):

@@ -9,9 +9,9 @@ trial consume the identical observation vector.
 
 import configparser
 import math
+import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,7 +20,6 @@ from .echo import (
     NoiseModel,
     PulseSchedule,
     RangeProfile,
-    _radar_model,
     build_trm,
     random_missing_schedule,
 )
@@ -40,6 +39,7 @@ from .solvers import (
 METHODS = ("sparse_l1", "least_squares", "stretch_idft")
 DEFAULT_SOLVERS = ("sparse_l1", "least_squares")
 DEFAULT_SCATTERERS = 24
+# Unread: bench/ still sets it. ROADMAP item 1 deletes it with that use.
 THREADS_ENV = "SFR_THREADS"
 # Bytes that the trials of one batch may hold between them. A trial holds
 # about 25 complex arrays of NL cells (its truth, TRM, observation, results
@@ -89,7 +89,8 @@ class ExperimentSpec:
         sweep = tuple(check_int("sweep value", v, 0) for v in self.sweep)
         object.__setattr__(self, "sweep", sweep)
         snr = self.snr_db
-        snr = (snr,) if snr is None or isinstance(snr, (int, float)) else tuple(snr)
+        single = snr is None or isinstance(snr, (numbers.Real, str))
+        snr = (snr,) if single else tuple(snr)
         object.__setattr__(self, "snr_db", snr)
         for name, values in (("sweep", sweep), ("snr_db", snr)):
             if not values or len(set(values)) < len(values):
@@ -100,8 +101,8 @@ class ExperimentSpec:
                     f"sweep value {v} outside [0, {self.radar.n_pulses - 1}]"
                 )
         for v in snr:
-            if v is not None and not math.isfinite(v):
-                raise ConfigError(f"snr_db must be finite, got {v}")
+            if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ConfigError(f"snr_db must be a finite number or None, got {v!r}")
         if isinstance(self.target, FileTarget):
             path = str(self.target.path)
             try:
@@ -264,44 +265,24 @@ def run_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> t
     return run_batch(spec, [(missing_count, snr_db, trial)])[0]
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return check_int(THREADS_ENV, workers, 0) or os.cpu_count() or 1
-
-
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list:
+def run_experiment(spec: ExperimentSpec, workers=None) -> list:
     """Run every (missing count, SNR, trial) cell of the spec.
 
     Returns one TrialRecord per requested solver per trial, sorted by
-    (missing_count, snr, trial, method). The trials run in batches that
-    hold at most BATCH_BYTES, on one worker unless the SFR_THREADS
-    environment variable asks for a thread pool (0 = one worker per CPU),
-    which splits them into one batch per worker; records are identical
-    across batch splits and worker counts.
+    (missing_count, snr, trial, method). The trials run on one thread, in
+    batches that hold at most BATCH_BYTES; records do not depend on the
+    batch split.
     """
+    # Unread: bench/ still passes workers. ROADMAP item 1 deletes it with that use.
     jobs = [
         (missing, snr, trial)
         for missing in spec.sweep
         for snr in spec.snr_db
         for trial in range(spec.trials_per_point)
     ]
-    n_workers = _worker_count(workers)
     cfg = spec.radar
-    cap = max(1, BATCH_BYTES // (16 * (25 * cfg.n_cells + cfg.n_pulses**2)))
-    size = min(cap, -(-len(jobs) // n_workers))
-    batches = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-    if n_workers == 1 or len(batches) <= 1:
-        done = [run_batch(spec, batch) for batch in batches]
-    else:
-        # the radar first, so that the threads' systems share one
-        _radar_model(spec.radar, spec.shape)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            done = list(pool.map(lambda batch: run_batch(spec, batch), batches))
+    size = max(1, BATCH_BYTES // (16 * (25 * cfg.n_cells + cfg.n_pulses**2)))
+    done = [run_batch(spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
     records = [rec for trials in done for _, batch, _ in trials for rec in batch]
     records.sort(
         key=lambda r: (

@@ -94,7 +94,7 @@ def test_simulate_is_trial_zero_of_the_sweep(tmp_path, capsys):
     truth = load_profile_csv(out / "truth_profile.csv")
     want = draw_synthetic_target(spec.radar, 4, child_seed(9, 5, 0, 1)).values
     assert np.allclose(truth, want, rtol=1e-7, atol=1e-12)
-    records = [r for r in run_experiment(spec, workers=1)
+    records = [r for r in run_experiment(spec)
                if r.missing_count == 5 and r.trial == 0]
     assert sorted(r.method for r in records) == sorted(METHODS)
     for rec in records:

@@ -1,6 +1,5 @@
 import os
 import re
-import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -89,7 +88,7 @@ def test_draw_synthetic_target_too_many(small_cfg):
 
 
 def test_run_experiment_record_grid(tiny_spec):
-    records = run_experiment(tiny_spec, workers=1)
+    records = run_experiment(tiny_spec)
     # 2 sweep points x 2 trials x 3 methods
     assert len(records) == 12
     keys = {(r.missing_count, r.trial, r.method) for r in records}
@@ -102,24 +101,9 @@ def test_run_experiment_record_grid(tiny_spec):
 
 
 def test_run_experiment_deterministic(tiny_spec):
-    a = rows_without_walltime(run_experiment(tiny_spec, workers=1))
-    b = rows_without_walltime(run_experiment(tiny_spec, workers=1))
+    a = rows_without_walltime(run_experiment(tiny_spec))
+    b = rows_without_walltime(run_experiment(tiny_spec))
     assert a == b
-
-
-def test_run_experiment_thread_count_invariant(tiny_spec, monkeypatch):
-    # the threads first, on a cold radar cache and with frequent switches,
-    # so that they race to build the shared factors
-    echo._radar_model.cache_clear()
-    monkeypatch.setenv("SFR_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = rows_without_walltime(run_experiment(tiny_spec))
-    finally:
-        sys.setswitchinterval(interval)
-    serial = rows_without_walltime(run_experiment(tiny_spec, workers=1))
-    assert serial == threaded
 
 
 def test_run_experiment_builds_radar_factors_once(monkeypatch):
@@ -145,7 +129,7 @@ def test_run_experiment_builds_radar_factors_once(monkeypatch):
 
     monkeypatch.setattr(echo, "pulse_shape_eval", counted_shape)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    records = run_experiment(spec, workers=1)
+    records = run_experiment(spec)
     assert len(records) == 9 * len(METHODS)
     # the shape matrix and the full train's norm depend on (radar, shape)
     # alone: nine trials evaluate each once
@@ -162,8 +146,8 @@ def test_run_experiment_sweep_insertion_invariance(small_cfg):
         radar=small_cfg, target=SyntheticSparse(4), sweep=(0, 3, 5), snr_db=10.0,
         trials_per_point=2, seed=11, solvers=("least_squares",),
     )
-    solo = rows_without_walltime(run_experiment(base, workers=1))
-    both = rows_without_walltime(run_experiment(extended, workers=1))
+    solo = rows_without_walltime(run_experiment(base))
+    both = rows_without_walltime(run_experiment(extended))
     subset = [row for row in both if row.split(",")[1] == "5"]
     assert solo == subset
 
@@ -174,7 +158,7 @@ def test_run_experiment_full_pulse_noiseless_sanity(small_cfg):
         radar=small_cfg, target=SyntheticSparse(5), sweep=(0,), snr_db=None,
         trials_per_point=3, seed=2, solvers=("sparse_l1", "least_squares"),
     )
-    records = run_experiment(spec, workers=1)
+    records = run_experiment(spec)
     for rec in records:
         assert rec.similarity >= 0.999, rec
     assert all(r.snr_db is None for r in records)
@@ -185,7 +169,7 @@ def test_run_experiment_snr_list(small_cfg):
         radar=small_cfg, target=SyntheticSparse(4), sweep=(4,), snr_db=(5.0, 25.0),
         trials_per_point=1, seed=3, solvers=("least_squares",),
     )
-    records = run_experiment(spec, workers=1)
+    records = run_experiment(spec)
     assert sorted({r.snr_db for r in records}) == [5.0, 25.0]
 
 
@@ -197,7 +181,7 @@ def test_run_experiment_file_target(tmp_path, small_cfg):
         radar=small_cfg, target=FileTarget(str(path)), sweep=(0,), snr_db=None,
         trials_per_point=2, seed=5, solvers=("least_squares",),
     )
-    records = run_experiment(spec, workers=1)
+    records = run_experiment(spec)
     assert all(r.similarity >= 0.999 for r in records)
 
 
@@ -213,7 +197,7 @@ def test_records_do_not_depend_on_the_batch(small_cfg, opts):
         snr_db=(None, 10.0, 30.0), trials_per_point=2, seed=17, solvers=METHODS,
         solver_opts=opts,
     )
-    batched = rows_without_walltime(run_experiment(spec, workers=1))
+    batched = rows_without_walltime(run_experiment(spec))
     alone, sparse = [], {}
     for missing in spec.sweep:
         for snr in spec.snr_db:
@@ -241,7 +225,7 @@ def test_sparse_wall_time_is_the_batch_share_of_iterations(small_cfg):
         trials_per_point=2, seed=17, solvers=("sparse_l1",),
         solver_opts=SolverOptions(epsilon=5.5),
     )
-    records = run_experiment(spec, workers=1)
+    records = run_experiment(spec)
     per_iteration = [r.wall_time_s / r.iterations for r in records if r.iterations]
     assert 0 < len(per_iteration) < len(records)
     assert max(per_iteration) == pytest.approx(min(per_iteration), rel=1e-9)
@@ -263,7 +247,7 @@ def test_trials_match_golden_records():
     with open(GOLDEN_CSV, encoding="ascii") as f:
         header, *want = [line.split(",") for line in f.read().splitlines()]
     assert header == TRIALS_CSV_HEADER.split(",")
-    got = [format_trial_row(r).split(",") for r in run_experiment(GOLDEN_SPEC, workers=1)]
+    got = [format_trial_row(r).split(",") for r in run_experiment(GOLDEN_SPEC)]
     assert len(got) == len(want) == 36
     for row_got, row_want in zip(got, want):
         # every column but the last, wall_time_s
@@ -275,7 +259,7 @@ def test_trials_match_golden_records():
 
 
 def test_trials_csv_round_shape(tmp_path, tiny_spec):
-    records = run_experiment(tiny_spec, workers=1)
+    records = run_experiment(tiny_spec)
     dest = tmp_path / "trials.csv"
     write_trials_csv(records, dest)
     lines = dest.read_text().strip().split("\n")
@@ -296,6 +280,26 @@ def test_spec_validation(small_cfg):
         SyntheticSparse(0)
     with pytest.raises(ConfigError):
         ExperimentSpec(radar=small_cfg, snr_db=(15.0, float("nan")))
+
+
+@pytest.mark.parametrize(
+    "snr_db, want",
+    [
+        pytest.param(np.int64(15), (15,), id="numpy-int"),
+        pytest.param(np.float32(7.5), (7.5,), id="numpy-float"),
+        pytest.param("x", None, id="string"),
+        pytest.param(("x", 15.0), None, id="string-in-list"),
+        pytest.param((1j,), None, id="complex"),
+    ],
+)
+def test_snr_db_takes_any_real_scalar_and_names_itself(small_cfg, snr_db, want):
+    # a real scalar is one value; anything that is not a real number is a
+    # ConfigError naming snr_db, not a TypeError from inside the check
+    if want is None:
+        with pytest.raises(ConfigError, match="snr_db"):
+            ExperimentSpec(radar=small_cfg, snr_db=snr_db)
+    else:
+        assert ExperimentSpec(radar=small_cfg, snr_db=snr_db).snr_db == want
 
 
 @pytest.mark.parametrize(
@@ -583,31 +587,4 @@ def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names
 def test_load_experiment_spec_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_experiment_spec(tmp_path / "nope.cfg")
-
-
-def test_worker_count_env(monkeypatch, small_cfg):
-    from sfradar.harness import _worker_count
-
-    monkeypatch.setenv("SFR_THREADS", "3")
-    assert _worker_count(None) == 3
-    monkeypatch.setenv("SFR_THREADS", "0")
-    assert _worker_count(None) >= 1
-    monkeypatch.setenv("SFR_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        _worker_count(None)
-    # only 0 means one worker per CPU: a negative count is an error
-    monkeypatch.setenv("SFR_THREADS", "-3")
-    with pytest.raises(ConfigError, match="SFR_THREADS"):
-        _worker_count(None)
-    monkeypatch.delenv("SFR_THREADS")
-    assert _worker_count(2) == 2
-    with pytest.raises(ConfigError, match="SFR_THREADS"):
-        _worker_count(-3)
-
-
-def test_worker_count_defaults_to_one(monkeypatch):
-    from sfradar.harness import _worker_count
-
-    monkeypatch.delenv("SFR_THREADS", raising=False)
-    assert _worker_count(None) == 1
 

@@ -21,7 +21,7 @@ from sfradar import (
     solve_sparse_l1_batch,
     solve_stretch_idft,
 )
-from sfradar.echo import Trm, _Radar
+from sfradar.echo import Trm, _Radar, _radar_model
 from sfradar.model import ConfigError
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
 from sfradar import sensing
@@ -257,6 +257,21 @@ def test_least_squares_in_a_used_workspace_matches_a_fresh_one():
     in_turn = in_new_thread(lambda: [solve_least_squares(s).h_est for s in systems])
     for h, ref in zip(in_turn, fresh):
         assert np.array_equal(h, ref)
+
+
+def test_each_thread_solves_in_its_own_workspace(cfg32, ideal_shape):
+    # one radar model, shared by every caller of its config: the arrays it
+    # hands out in two threads share no memory, and one thread's calls
+    # reuse one buffer. Each thread's arrays outlive it, so a buffer shared
+    # across threads would still be the one handed out here.
+    radar = _radar_model(cfg32, ideal_shape)
+    first = in_new_thread(lambda: (radar.workspace(100), radar.workspace(60)))
+    second = in_new_thread(lambda: (radar.workspace(100), radar.workspace(60)))
+    for a, b in (first, second):
+        assert np.shares_memory(a, b)
+    assert not np.shares_memory(first[0], second[0])
+    here = radar.workspace(100)
+    assert not any(np.shares_memory(here, a) for a in first + second)
 
 
 def test_concurrent_least_squares_threads_match_serial_calls(cfg32, ideal_shape):
