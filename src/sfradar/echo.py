@@ -200,37 +200,44 @@ class _Radar:
         g = (self.stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
         return g.swapaxes(-1, -2).reshape(*lead, -1)
 
-    def normal(self, circulants: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Phi^H Phi of each profile: fold, the schedule's N x N circulant
-        P^H P over the fine index, unfold. circulants (... x N x N) pairs one
-        schedule with each profile of values (... x NL)."""
-        return self.unfold(circulants @ self.fold(values))
-
     def apply_blocks(self, blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
         """A real block-diagonal matrix (N x L x L) times a profile: block n
         acts on the coarse bins of fine index n, laid out as unfold does."""
         return self._by_fine_index(blocks, values).T.ravel()
 
-    def echoes(self, values: np.ndarray, pulse_indices) -> np.ndarray:
-        """Noiseless echoes (M x S) of a profile for the given pulse indices.
+    def pulse_grid(self, values: np.ndarray) -> np.ndarray:
+        """Noiseless echoes of each profile on every pulse, (... x N x S).
 
         Cell p = lN + n carries the phase exp(-j 2 pi c n / N) for pulse c,
         which does not depend on the coarse bin l. So each sample folds the
         shape-weighted profile over the coarse bins, and an N-point FFT over
-        n gives every pulse at once; the rows of pulse_indices are kept.
+        n gives every pulse at once. Leading axes of values are a batch of
+        profiles, each with the digits it gets on its own.
         """
-        return np.fft.fft(self.fold(values), axis=0)[pulse_indices]
+        return np.fft.fft(self.fold(values), axis=-2)
 
-    def backproject(self, v: np.ndarray, pulse_indices) -> np.ndarray:
-        """Adjoint of echoes: the profile that sample-major v (S x M) backs to.
+    def backproject_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Adjoint of pulse_grid: an unscaled inverse FFT over the pulses of
+        each (N x S) grid, then unfold. Batched as pulse_grid is."""
+        return self.unfold(np.fft.ifft(grid, axis=-2, norm="forward"))
 
-        Scatters v onto the given pulses of a full (N x S) pulse grid, runs an
-        unscaled inverse FFT over the pulses, and unfolds.
-        """
+    def echoes(self, values: np.ndarray, pulse_indices) -> np.ndarray:
+        """Noiseless echoes (M x S) of a profile: the rows of pulse_indices
+        in its pulse_grid."""
+        return self.pulse_grid(values)[pulse_indices]
+
+    def scatter(self, v: np.ndarray, pulse_indices) -> np.ndarray:
+        """Sample-major v (S x M) laid on the given pulses of a full (N x S)
+        pulse grid, zero on the others."""
         n_pulses, s_count, _ = self.stack.shape
         grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
         grid[pulse_indices] = v.reshape(s_count, -1).T
-        return self.unfold(np.fft.ifft(grid, axis=0, norm="forward"))
+        return grid
+
+    def backproject(self, v: np.ndarray, pulse_indices) -> np.ndarray:
+        """Adjoint of echoes: the profile that sample-major v (S x M) backs
+        to, the backprojection of its scatter."""
+        return self.backproject_grid(self.scatter(v, pulse_indices))
 
     @cached_property
     def blocks(self) -> np.ndarray:

@@ -42,10 +42,10 @@ DEFAULT_SCATTERERS = 24
 # Unread: bench/ still sets it. ROADMAP item 1 deletes it with that use.
 THREADS_ENV = "SFR_THREADS"
 # Bytes that the trials of one batch may hold between them. A trial holds
-# about 25 complex arrays of NL cells (its truth, TRM, observation, results
-# and solver state) and its N x N circulant: tracemalloc put it at 152 kB
-# at N=32, L=12 and 373 kB at N=64, L=16. 32 MB keeps the README sweep's
-# 120 trials in one batch; more trials per batch gained no speed there.
+# fewer than 25 complex arrays of NL cells (its truth, TRM, observation,
+# results and solver state): tracemalloc put it at 118 kB at N=32, L=12 and
+# 322 kB at N=64, L=16. 32 MB keeps the README sweep's 120 trials in one
+# batch; more trials per batch gained no speed there.
 BATCH_BYTES = 32 * 2**20
 
 
@@ -281,7 +281,7 @@ def run_experiment(spec: ExperimentSpec, workers=None) -> list:
         for trial in range(spec.trials_per_point)
     ]
     cfg = spec.radar
-    size = max(1, BATCH_BYTES // (16 * (25 * cfg.n_cells + cfg.n_pulses**2)))
+    size = max(1, BATCH_BYTES // (16 * 25 * cfg.n_cells))
     done = [run_batch(spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
     records = [rec for trials in done for _, batch, _ in trials for rec in batch]
     records.sort(

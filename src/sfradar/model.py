@@ -22,9 +22,11 @@ class ConfigError(ValueError):
 
 
 def check_int(name: str, value, low: int) -> int:
-    """value as an int, rejected unless it is an integer (numpy's count)
-    no smaller than low."""
+    """value as an int, rejected unless it is an integer (numpy's count,
+    a bool does not) no smaller than low."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None

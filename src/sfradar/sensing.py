@@ -7,10 +7,10 @@ cells p: the pulse shape at that sample times a carrier phase that only
 depends on p mod N. So Phi h folds the shape-weighted profile over the
 coarse bins and takes one N-point FFT across the fine index (the kernel
 echo synthesis uses), Phi^H v runs the same steps backwards, and
-Phi^H Phi h folds, multiplies by the schedule's N x N circulant P^H P and
-unfolds; Phi is never stored. The dense matrix is still available, built
-on demand, as a test oracle. With pulses missing the system has fewer
-rows than unknowns and reconstruction needs a prior.
+Phi^H Phi is the schedule's N x N circulant P^H P over the fine index,
+weighted by the folds; Phi is never stored. The dense matrix is still
+available, built on demand, as a test oracle. With pulses missing the
+system has fewer rows than unknowns and reconstruction needs a prior.
 
 The shape matrix and every kernel and factor that depends on it alone
 live in echo's _Radar, built once per (RadarConfig, PulseShape) value by
@@ -100,22 +100,12 @@ class SensingSystem:
         and the least-squares routes alike."""
         return _read_only(self.adjoint(self.y))
 
-    def normal(self, h: np.ndarray) -> np.ndarray:
-        """Phi^H Phi h, without leaving the full pulse grid.
-
-        Folds, multiplies by the circulant P^H P over the fine index and
-        unfolds: adjoint(apply(h)) without the FFTs, the gather into
-        sample-major rows and the scatter back. The one-profile case of
-        _Radar.normal, which the sparse solver runs on a batch of systems.
-        """
-        return self.radar.normal(self.circulant, h)
-
     def gram(self) -> np.ndarray:
         """Phi^H Phi as a new array, which the caller may overwrite.
 
         From the factors this is (P^H P) * (E^T E), elementwise. P^H P is
-        circulant in the fine index, so it is the N x N block of normal
-        tiled over the coarse bins. E^T E is folded in a block of columns
+        circulant in the fine index, so it is the schedule's N x N
+        circulant tiled over the coarse bins. E^T E is folded in a block of columns
         at a time, so the only NL x NL array is the result.
         """
         l_bins = self.n_cells // self.radar.n_pulses

@@ -3,11 +3,11 @@
 Three routes to an estimated range profile:
 
 * ``solve_sparse_l1``: minimize the l1 norm of the profile subject to a
-  residual budget, via accelerated proximal-gradient iteration (FISTA,
-  Beck & Teboulle 2009) with gradient-scheme adaptive restart
-  (O'Donoghue & Candes 2015) and complex soft-thresholding, on a
-  geometrically decreasing penalty continuation path. The iteration runs
-  on a batch of systems of one radar at once (solve_sparse_l1_batch, the
+  residual budget, by primal-dual hybrid gradient iteration (Chambolle &
+  Pock, J. Math. Imaging Vis. 40, 2011) on that constrained problem
+  itself, with complex soft-thresholding as the primal step and the
+  projection onto the budget ball as the dual one. The iteration runs on
+  a batch of systems of one radar at once (solve_sparse_l1_batch, the
   sweep's route); one system is the batch of one, and a system's result
   does not depend on the batch it is solved in.
 * ``solve_least_squares``: ridge-regularized least squares on the same
@@ -26,6 +26,22 @@ from .model import ConfigError, PulseShape, RadarConfig, check_int
 from .sensing import SensingSystem, _ridge_solve, build_sensing_system
 
 TINY = np.finfo(float).tiny
+# The primal step of the sparse iteration is PRIMAL_STEP / ||Phi||, and the
+# product of the primal and dual steps 0.99 / ||Phi||^2, under the
+# 1 / ||Phi||^2 that convergence needs. On the README config at 15 dB (120
+# trials) 0.3 took 4158 iterations in all, against 10261 at 0.1, 5863 at 1
+# and 18792 at 3.
+PRIMAL_STEP = 0.3
+# The dual step projects onto a ball BALL_MARGIN inside the budget, so the
+# iterates approach the budget from inside. On the same trials the exits
+# landed at 0.998-1.000 of it; with no margin 2 of 120 circled it from
+# outside until max_iters, and with 1e-2 they exited at 0.989-0.993.
+BALL_MARGIN = 1e-3
+# With a zero budget no iterate meets it exactly: the loop stops, and the
+# result counts as converged, once the residual is at most ZERO_BUDGET_TOL
+# of ||y||. All 120 noiseless README-config trials met it, each within
+# 8.2e-4 of the similarity of a solve to a residual of 1e-7-3e-5 ||y||.
+ZERO_BUDGET_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -37,16 +53,18 @@ class SolverOptions:
     Every value must be finite.
     ls_ridge defaults to 1e-6 times the squared operator norm of the full
     pulse train (operator_norm_sq), a property of the radar and the pulse
-    shape that is the same on every schedule. max_iters caps the inner
-    iterations spent at each penalty level.
+    shape that is the same on every schedule. max_iters caps the sparse
+    solver's iterations, and rel_change_tol is its primal-change
+    tolerance: a system stops once an iteration moves its estimate by at
+    most that fraction of its norm and its residual meets the budget.
+    On the README config, 1e-6 took 1.7x the iterations of 1e-4 in all at
+    15 dB and 2.0x noiseless.
     """
 
     max_iters: int = 5000
-    rel_change_tol: float = 1e-6
+    rel_change_tol: float = 1e-4
     epsilon: float | None = None
     epsilon_factor: float = 1.1
-    lambda_path_steps: int = 8
-    lambda_ratio: float = 0.1
     ls_ridge: float | None = None
 
     def __post_init__(self):
@@ -55,13 +73,10 @@ class SolverOptions:
             if v is not None and not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
         check_int("max_iters", self.max_iters, 1)
-        check_int("lambda_path_steps", self.lambda_path_steps, 1)
-        for name in ("rel_change_tol", "epsilon_factor", "lambda_ratio"):
+        for name in ("rel_change_tol", "epsilon_factor"):
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigError(f"{name} must be positive, got {v}")
-        if self.lambda_ratio >= 1:
-            raise ConfigError(f"lambda_ratio must be < 1, got {self.lambda_ratio}")
         if self.epsilon is not None and self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.ls_ridge is not None and not self.ls_ridge > 0:
@@ -86,8 +101,9 @@ class RecoveryResult:
 
     residual_l2 is always recomputed from the returned estimate, never
     taken from solver internals. For the sparse route, converged means
-    the residual budget was met; for the stretch route it means no rows
-    had to be zero-filled.
+    the residual budget was met (with a zero budget, a residual of at most
+    ZERO_BUDGET_TOL ||y||); for the stretch route it means no rows had to
+    be zero-filled.
     """
 
     h_est: np.ndarray
@@ -125,118 +141,28 @@ def operator_norm_sq(op: SensingSystem) -> float:
     return op.radar.norm_sq
 
 
-def _prox_gradient(radar, circulants, b, lam, step, x0, max_iters, rel_change_tol):
-    """Proximal-gradient descent on 0.5 ||y_k - Phi_k x||^2 + lam_k ||x||_1
-    for K systems of one radar at once: row k of circulants (K x N x N), b
-    (Phi^H y, formed once by the caller) and x0 (the warm start), and entry
-    k of the sequences lam and step, belong to system k.
-
-    Accelerated by FISTA momentum (Beck & Teboulle, SIAM J. Imaging Sci.
-    2009), reset whenever the step from the last iterate points against
-    the momentum, Re<z - x_new, x_new - x> > 0, the gradient-scheme
-    adaptive restart of O'Donoghue & Candes (Found. Comput. Math. 2015).
-    The restart stops the oscillation of the iterates on ill-conditioned
-    schedules and leaves the fixed point as it was. The first iteration
-    of a call carries no momentum, so a one-iteration call is a plain
-    proximal-gradient step. The gradient Phi^H Phi z - b is taken on the
-    radar's normal operator with the system's circulant.
-
-    Each row keeps its momentum, restart and stopping test as Python
-    floats and leaves the arrays when it stops. The batched products and
-    the per-row inner products (np.vecdot sums like np.vdot) give each row
-    the digits it would get alone. step must not exceed the reciprocal of
-    the largest squared singular value of Phi_k. Returns (x, iterations):
-    x a new (K x n_cells) array, iterations a list of K counts.
-    """
-    x_out = np.empty_like(x0, dtype=np.complex128)
-    iterations = [max_iters] * len(x0)
-    rows = np.arange(len(x0))  # the output row of each running system
-    x = x0.astype(np.complex128, copy=True)
-    z = x.copy()
-    t = [1.0] * len(x0)
-    thresh = np.array(lam)[:, None] * np.array(step)[:, None]
-    # complex, as the products with complex arrays would cast them anyway
-    step = np.array(step, dtype=np.complex128)[:, None]
-    tol_sq = rel_change_tol * rel_change_tol
-    for k in range(1, max_iters + 1):
-        # the proximal step from z, z - step (Phi^H Phi z - b), in one
-        # buffer: the same operations as on new arrays, without allocating
-        x_new = radar.normal(circulants, z)
-        x_new -= b
-        np.multiply(step, x_new, out=x_new)
-        np.subtract(z, x_new, out=x_new)
-        soft_threshold(x_new, thresh, out=x_new)
-        delta = np.subtract(x_new, x, out=x)  # x and z are spent: reuse them
-        np.subtract(z, x_new, out=z)
-        uphill = np.vecdot(z, delta).tolist()
-        moved = np.vecdot(delta, delta).tolist()
-        size = np.vecdot(x_new, x_new).tolist()
-        momentum, running, stopped = [], [], []
-        for j, t_j in enumerate(t):
-            if uphill[j].real > 0:
-                # the momentum points uphill: restart it
-                t_j = 1.0
-            t[j] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_j * t_j))
-            momentum.append((t_j - 1.0) / t[j])
-            # ||delta|| < tol * max(||x||, 1e-12), on squared norms
-            if moved[j].real < tol_sq * max(size[j].real, 1e-24):
-                stopped.append(j)
-            else:
-                running.append(j)
-        np.multiply(np.array(momentum, dtype=np.complex128)[:, None], delta, out=delta)
-        z = np.add(x_new, delta, out=delta)
-        x = x_new
-        if stopped:
-            x_out[rows[stopped]] = x[stopped]
-            for j in stopped:
-                iterations[rows[j]] = k
-            if not running:
-                return x_out, iterations
-            rows, x, z, b, circulants = (a[running] for a in (rows, x, z, b, circulants))
-            step, thresh = step[running], thresh[running]
-            t = [t[j] for j in running]
-    x_out[rows] = x
-    return x_out, iterations
+def prox_gradient_l1(*args, **kwargs):
+    """Removed with the penalty path; solve_sparse_l1 solves the problem."""
+    # Unread: bench/spans.py wraps this name, and its two metrics have read 0
+    # since the sweeps went batched. The proximal-gradient path, with its
+    # momentum and restart, is gone. ROADMAP item 1 deletes this stub with
+    # that use.
+    raise NotImplementedError("prox_gradient_l1 is gone; use solve_sparse_l1")
 
 
-def prox_gradient_l1(
-    op: SensingSystem,
-    b: np.ndarray,
-    lam: float,
-    step: float,
-    x0: np.ndarray,
-    max_iters: int,
-    rel_change_tol: float,
-):
-    """Proximal-gradient descent on 0.5 ||y - Phi x||^2 + lam ||x||_1 for one
-    system: the one-row case of the batched iteration, _prox_gradient.
-    Returns (x, iterations), x a new array.
-
-    Parameters
-    ----------
-    op : SensingSystem
-        Supplies Phi^H Phi through its radar and circulant.
-    b : ndarray
-        Phi^H y.
-    step : float
-        Gradient step size; must not exceed the reciprocal of the largest
-        squared singular value of Phi.
-    x0 : ndarray
-        Warm start.
-    """
-    x, iterations = _prox_gradient(
-        op.radar, op.circulant[None], b[None], [lam], [step], x0[None],
-        max_iters, rel_change_tol,
-    )
-    return x[0], iterations[0]
+def _budget(eps: float, sys: SensingSystem) -> float:
+    """The residual a sparse estimate must meet: eps, or with a zero eps,
+    ZERO_BUDGET_TOL ||y||."""
+    return eps if eps > 0 else ZERO_BUDGET_TOL * float(np.linalg.norm(sys.y))
 
 
 def _result(sys, h, iterations, eps, converged=None) -> RecoveryResult:
     """The RecoveryResult of estimate h, its residual recomputed on sys;
-    converged, unless given, is whether that residual meets the budget eps."""
+    converged, unless given, is whether that residual meets the budget
+    of eps."""
     residual = float(np.linalg.norm(sys.y - sys.apply(h)))
     if converged is None:
-        converged = residual <= eps
+        converged = residual <= _budget(eps, sys)
     return RecoveryResult(h, residual, iterations, converged, eps)
 
 
@@ -250,61 +176,110 @@ def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
     """Sparse recovery: min ||h||_1 subject to ||y - phi h||_2 <= epsilon,
     for each of several systems of one radar, in one iteration loop.
 
-    Solved through the penalized form on a geometric continuation path:
-    starting just below the penalty that zeroes everything, each level is
-    solved by adaptive-restart accelerated proximal gradient
-    (_prox_gradient) warm-started from the last, and a system's path stops
-    at the largest penalty whose solution meets its residual budget. If no
-    level meets it the last level's iterate is returned with
-    converged=False. Each system keeps its own budget, Phi^H y, penalty
-    and step; the systems still over budget step to the next level
-    together. A system's result does not depend on the others it is
+    Primal-dual hybrid gradient on the constrained problem. With x the
+    estimate, x_bar its extrapolation, zeta the scaled dual and y, zeta
+    and Phi x on the full (N x S) pulse grid, zero on the missing pulses,
+    one iteration is
+
+        u = zeta + Phi x_bar - y
+        zeta = (1 - min(1, eps' / ||u||)) u
+        x_new = soft(x - tau sigma Phi^H zeta, tau)
+        x_bar = 2 x_new - x
+
+    with tau = PRIMAL_STEP / ||Phi||, tau sigma = 0.99 / ||Phi||^2 and
+    eps' = (1 - BALL_MARGIN) eps: one apply, of x_new (Phi x_bar is
+    2 Phi x_new - Phi x), and one adjoint, both taken from the radar's
+    pulse-grid forms. A system stops once its estimate moves by at most
+    rel_change_tol of its norm and its residual meets its budget, or after
+    max_iters iterations; it then leaves the loop, and the others go on.
+    A system whose zero profile meets the budget, or whose Phi^H y is zero
+    (no estimate shrinks its residual), gets the zero profile without
+    iterating. A system's result does not depend on the others it is
     solved with. Returns one RecoveryResult per system, in order.
     """
     opts = opts or SolverOptions()
+    if not systems:
+        return []
     radar = systems[0].radar
     if any(s.radar is not radar for s in systems):
         raise ValueError("the systems of one sparse batch must share one radar")
     results = [None] * len(systems)
-    path = []  # (index, Phi^H y, penalty that zeroes everything, eps)
+    index, eps, budget = [], [], []
     for i, sys in enumerate(systems):
-        eps = float(opts.resolve_epsilon(sys))
-        b = sys.adjoint_y
-        lam_max = float(np.max(np.abs(b)))
-        if float(np.linalg.norm(sys.y)) <= eps or lam_max == 0.0:
-            # either the zero profile meets the budget, and it minimizes the
-            # l1 norm, or y is orthogonal to the operator range and no
-            # estimate can shrink the residual below ||y||, which exceeds eps
-            results[i] = _result(sys, np.zeros(sys.n_cells, dtype=np.complex128), 0, eps)
+        e = float(opts.resolve_epsilon(sys))
+        b = _budget(e, sys)
+        if float(np.linalg.norm(sys.y)) <= b or not np.any(sys.adjoint_y):
+            results[i] = _result(sys, np.zeros(sys.n_cells, dtype=np.complex128), 0, e)
         else:
-            path.append((i, b, lam_max, eps))
-    if not path:
+            index.append(i)
+            eps.append(e)
+            budget.append(b)
+    if not index:
         return results
 
-    index, b, lam_max, eps = (list(v) for v in zip(*path))
-    b = np.stack(b)
-    circulants = np.stack([systems[i].circulant for i in index])
-    step = [1.0 / (1.01 * operator_norm_sq(systems[i])) for i in index]
-    x = np.zeros_like(b)
-    total_iters = [0] * len(index)
-    for k in range(1, opts.lambda_path_steps + 1):
-        lam = [m * opts.lambda_ratio**k for m in lam_max]
-        x, iters = _prox_gradient(
-            radar, circulants, b, lam, step, x, opts.max_iters, opts.rel_change_tol
-        )
-        over = []
-        for j, i in enumerate(index):
-            total_iters[j] += iters[j]
-            results[i] = _result(systems[i], x[j], total_iters[j], eps[j])
-            if not results[i].converged:
-                over.append(j)
-        if not over:
+    k = len(index)
+    y = np.stack([radar.scatter(systems[i].y, systems[i].pulses) for i in index])
+    mask = np.zeros((k, radar.n_pulses, 1))
+    for j, i in enumerate(index):
+        mask[j, systems[i].pulses] = 1.0
+    norm_sq = np.array([operator_norm_sq(systems[i]) for i in index])
+    tau = (PRIMAL_STEP / np.sqrt(norm_sq))[:, None]
+    tau_sigma = (0.99 / norm_sq)[:, None]
+    ball = ((1.0 - BALL_MARGIN) * np.array(eps))[:, None, None]
+    budget_sq = np.array(budget) ** 2
+    tol_sq = opts.rel_change_tol**2
+
+    rows = np.arange(k)  # the output row of each running system
+    x_out = np.empty((k, systems[0].n_cells), dtype=np.complex128)
+    iterations = [0] * k
+    x = np.zeros_like(x_out)
+    ax = np.zeros_like(y)  # Phi x
+    zeta = np.zeros_like(y)  # becomes u, then the new zeta, in place
+    ax_bar = ax
+    for it in range(1, opts.max_iters + 1):
+        zeta += ax_bar
+        zeta -= y
+        u_norm = np.sqrt(_row_sq(zeta))[:, None, None]
+        zeta *= 1.0 - np.minimum(1.0, ball / np.maximum(u_norm, TINY))
+        x_new = radar.backproject_grid(zeta)
+        x_new *= tau_sigma
+        np.subtract(x, x_new, out=x_new)
+        soft_threshold(x_new, tau, out=x_new)
+        ax_new = radar.pulse_grid(x_new)
+        ax_new *= mask
+        ax_bar = np.subtract(ax_new, ax, out=ax)
+        ax_bar += ax_new
+        delta = np.subtract(x_new, x, out=x)
+        x, ax = x_new, ax_new
+        stopped = _row_sq(delta) <= tol_sq * _row_sq(x)
+        if not stopped.any():
+            continue
+        # the residual test, only on the rows that have settled
+        stopped[stopped] = _row_sq(y[stopped] - ax[stopped]) <= budget_sq[stopped]
+        if stopped.all():
             break
-        b, circulants, x = b[over], circulants[over], x[over]
-        index, lam_max, eps, step, total_iters = (
-            [v[j] for j in over] for v in (index, lam_max, eps, step, total_iters)
-        )
+        if stopped.any():
+            x_out[rows[stopped]] = x[stopped]
+            for j in rows[stopped].tolist():
+                iterations[j] = it
+            running = ~stopped
+            rows, x, ax, ax_bar, zeta, y, mask, tau, tau_sigma, ball, budget_sq = (
+                a[running] for a in
+                (rows, x, ax, ax_bar, zeta, y, mask, tau, tau_sigma, ball, budget_sq)
+            )
+    x_out[rows] = x
+    for j in rows.tolist():
+        iterations[j] = it
+    for j, i in enumerate(index):
+        results[i] = _result(systems[i], x_out[j], iterations[j], eps[j])
     return results
+
+
+def _row_sq(a: np.ndarray) -> np.ndarray:
+    """The squared l2 norm of each row of a (K x ...), summed like np.vdot,
+    with the digits each row gets on its own."""
+    flat = a.reshape(len(a), -1)
+    return np.vecdot(flat, flat).real
 
 
 def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:

@@ -185,10 +185,10 @@ def test_run_experiment_file_target(tmp_path, small_cfg):
     assert all(r.similarity >= 0.999 for r in records)
 
 
-# Noiseless trials (eps = 0) run every penalty level and leave the path
-# unconverged, and noisy ones stop at different iterations. Under the
-# explicit budget the trials whose ||y|| is within it take the zero-profile
-# exit while the others iterate.
+# Noiseless trials (eps = 0) stop on the zero budget's tolerance, and the
+# trials stop at different iterations, so rows leave the loop at different
+# times. Under the explicit budget the trials whose ||y|| is within it take
+# the zero-profile exit while the others iterate.
 @pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(epsilon=5.5)],
                          ids=["noise_budget", "explicit_epsilon"])
 def test_records_do_not_depend_on_the_batch(small_cfg, opts):
@@ -210,11 +210,10 @@ def test_records_do_not_depend_on_the_batch(small_cfg, opts):
 
     iterations = [r.iterations for r in sparse.values()]
     if opts.epsilon is None:
+        assert all(r.converged for r in sparse.values())
         noiseless = [r for (_, snr, _), r in sparse.items() if snr is None]
-        assert not any(r.converged for r in noiseless)
-        noisy = [r for (_, snr, _), r in sparse.items() if snr is not None]
-        assert all(r.converged for r in noisy)
-        assert len({r.iterations for r in noisy}) > 1
+        assert all(r.epsilon_used == 0 for r in noiseless)
+        assert len(set(iterations)) > 1
     else:
         assert 0 < iterations.count(0) < len(iterations)
 
@@ -314,12 +313,20 @@ def test_snr_db_takes_any_real_scalar_and_names_itself(small_cfg, snr_db, want):
         ("max_iters", lambda cfg: SolverOptions(max_iters=2.5)),
         ("n_scatterers", lambda cfg: SyntheticSparse(2.5)),
         ("seed", lambda cfg: echo.NoiseModel(15.0, seed=-1)),
+        # a bool is an int to Python: max_iters=True would run one iteration
+        ("max_iters", lambda cfg: SolverOptions(max_iters=True)),
+        ("pulse index", lambda cfg: echo.PulseSchedule((0, True), 4)),
+        ("l_bins", lambda cfg: replace(cfg, l_bins=True)),
+        ("seed", lambda cfg: ExperimentSpec(radar=cfg, seed=False)),
+        ("n_scatterers", lambda cfg: SyntheticSparse(True)),
     ],
     ids=["sweep", "spec-seed", "trials", "schedule", "n_pulses", "l_bins",
-         "max_iters", "scatterers", "noise-seed"],
+         "max_iters", "scatterers", "noise-seed", "max_iters-bool",
+         "schedule-bool", "l_bins-bool", "spec-seed-bool", "scatterers-bool"],
 )
 def test_integer_fields_are_checked_when_built(small_cfg, field, build):
-    # rejected with the field's name, not truncated or failing further on
+    # rejected with the field's name, not truncated, taken as 0 or 1, or
+    # failing further on
     with pytest.raises(ConfigError, match=f"^{field} must be"):
         build(small_cfg)
 
@@ -385,7 +392,7 @@ solvers = sparse_l1, least_squares
 
 [solver]
 max_iters = 4000
-lambda_path_steps = 8
+epsilon_factor = 1.5
 """
 
 
@@ -415,14 +422,14 @@ def test_load_experiment_spec_unknown_key(tmp_path):
     assert "sede" in str(err.value)
 
 
-SOLVER_SECTION = "[solver]\nmax_iters = 4000\nlambda_path_steps = 8\n"
+SOLVER_SECTION = "[solver]\nmax_iters = 4000\nepsilon_factor = 1.5\n"
 # the [radar] keys of GOOD_CONFIG
 GOOD_RADAR = dict(f_c=5.0e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=24e6, l_bins=12)
 # a value other than the default, and other than GOOD_CONFIG's, for every
 # SolverOptions and RadarConfig field
 NON_DEFAULT_OPTIONS = dict(
     max_iters=1234, rel_change_tol=2.5e-7, epsilon=0.125, epsilon_factor=1.75,
-    lambda_path_steps=5, lambda_ratio=0.25, ls_ridge=3e-9,
+    ls_ridge=3e-9,
     f_c=6.5e9, delta_f=8e6, n_pulses=40, pulse_bandwidth=30e6, delta_t=2.5e-8,
     q_start=3, l_bins=10, c_light=2.5e8,
 )
@@ -564,7 +571,7 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
     ("max_iters = 4000", "max_iters = abc", "[solver] max_iters"),
     ("seed = 1", "seed = -1", "seed"),
     ("delta_f = 16e6", "delta_f = 1e-200", "delta_f"),
-    # restarted FISTA is the only iteration: no key switches it off
+    # the primal-dual loop is the only iteration: no key switches it
     ("max_iters = 4000", "max_iters = 4000\naccelerate = true",
      "unknown key 'accelerate' in [solver]"),
     ("max_iters = 4000", "max_iters = 4000\nls_ridge = inf", "ls_ridge must be finite"),

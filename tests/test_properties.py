@@ -154,11 +154,14 @@ def test_adjoint_identity(case, seed):
 @PROPERTY
 @given(systems(), st.integers(0, 2**32 - 1))
 def test_normal_is_adjoint_of_apply(case, seed):
+    # the normal matrix least squares assembles from the factors against
+    # the matrix-free pair the sparse solver iterates with
     _, _, sys_ = case
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(sys_.n_cells) + 1j * rng.standard_normal(sys_.n_cells)
     want = sys_.adjoint(sys_.apply(h))
-    assert np.linalg.norm(sys_.normal(h) - want) <= 1e-12 * np.linalg.norm(want)
+    bound = 1e-12 * np.linalg.norm(sys_.phi) ** 2 * np.linalg.norm(h)
+    assert np.linalg.norm(sys_.gram() @ h - want) <= bound
 
 
 @PROPERTY
@@ -280,7 +283,7 @@ def test_soft_threshold_minimises_the_prox_objective(seed, t):
         assert abs(abs(ui) - radii[np.argmin(scan)]) <= radii[1]
 
 
-# -- the batched normal operator --------------------------------------------------
+# -- the batched pulse-grid operator ---------------------------------------------
 
 # the benchmark's two gates: N=32, L=12 and N=64, L=16
 BATCH_GATES = {
@@ -296,23 +299,29 @@ BATCH_GATES = {
 @settings(PROPERTY, max_examples=4)
 @given(st.integers(0, 2**32 - 1))
 def test_batched_normal_matches_single_calls_bit_for_bit(gate, k, seed):
-    # the sparse solver runs normal on a batch of systems, each with its
-    # own schedule; every row must carry the digits of its own single call
+    # the sparse solver applies Phi and Phi^H to a batch of systems on the
+    # full pulse grid, each with its own schedule masked in; every row must
+    # carry the digits of its own system's apply and adjoint
     cfg = BATCH_GATES[gate]
     shape = PulseShape.ideal_sinc(cfg.pulse_bandwidth)
     rng = np.random.default_rng(seed)
     systems = []
-    for _ in range(k):
+    mask = np.zeros((k, cfg.n_pulses, 1))
+    for j in range(k):
         schedule = random_missing_schedule(
             cfg.n_pulses, int(rng.integers(cfg.n_pulses)), int(rng.integers(2**32))
         )
         trm = Trm(np.zeros((schedule.m_count, cfg.n_samples)), schedule.valid_indices,
                   cfg.delta_t)
         systems.append(build_sensing_system(cfg, shape, schedule, trm))
+        mask[j, systems[-1].pulses] = 1.0
+    radar = systems[0].radar
     h = rng.standard_normal((k, cfg.n_cells)) + 1j * rng.standard_normal((k, cfg.n_cells))
-    circulants = np.stack([s.circulant for s in systems])
-    batched = systems[0].radar.normal(circulants, h)
-    single = np.stack([s.normal(row) for s, row in zip(systems, h)])
+    grid = radar.pulse_grid(h) * mask
+    for s, row, g in zip(systems, h, grid):
+        assert np.array_equal(g[s.pulses].T.ravel(), s.apply(row))
+    batched = radar.backproject_grid(grid)
+    single = np.stack([s.adjoint(s.apply(row)) for s, row in zip(systems, h)])
     assert np.array_equal(batched, single)
 
 
