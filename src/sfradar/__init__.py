@@ -44,6 +44,7 @@ from .solvers import (
     SolverOptions,
     soft_threshold,
     solve_least_squares,
+    solve_least_squares_batch,
     solve_sparse_l1,
     solve_sparse_l1_batch,
     solve_stretch_idft,
@@ -85,6 +86,7 @@ __all__ = [
     "similarity",
     "soft_threshold",
     "solve_least_squares",
+    "solve_least_squares_batch",
     "solve_sparse_l1",
     "solve_sparse_l1_batch",
     "solve_stretch_idft",

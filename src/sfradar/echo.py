@@ -9,7 +9,6 @@ radar model (_Radar) whose kernels are also the sensing operator's.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -130,13 +129,9 @@ class _Radar:
     sample instant s less the delay of cell p; stack is E as (N, S, L),
     [n, s, l] = E[s, lN + n]. Both are read-only and checked finite here.
     Echo synthesis and every sensing system of the radar share one
-    instance: its kernels, and the full train's blocks and norm, the row
-    kernels and the per-ridge complement factors, built on first use. It
-    also keeps one workspace per thread for the small normal systems of
-    least squares (workspace): the sweep runs on one thread, but
-    solve_least_squares is public and every caller of one config gets this
-    instance, so callers that solve from their own threads must not share
-    one buffer.
+    instance: its kernels, and the full train's blocks and norm, built on
+    first use. It holds no solver state, so callers in any thread may
+    share it.
     """
 
     def __init__(self, envelopes: np.ndarray, n_pulses: int):
@@ -147,44 +142,22 @@ class _Radar:
         self.envelopes = _read_only(envelopes)
         self.stack = _read_only(np.ascontiguousarray(stack))
         self.n_pulses = n_pulses
-        self.complement = lru_cache(maxsize=4)(self._complement)
-        self._local = threading.local()
 
-    def workspace(self, size: int) -> np.ndarray:
-        """A complex size x size array in this thread's workspace, every
-        entry of which the caller overwrites.
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """Shape-weighted profiles folded over the coarse bins, (... x N x S).
 
-        The workspace grows to the largest size the thread has asked for and
-        is kept: a matrix allocated per solve landed, beside numpy's LU
-        copy, on pages the allocator had just handed back to the kernel,
-        and faulted them in again on every trial. Each thread has its own,
-        so threads may solve at once.
+        Entry (n, s) sums E[s, lN + n] h[lN + n] over l: stack[n] times the
+        coarse bins of fine index n, one real (S x L) by (L x 2) product per
+        n. Leading axes of values are a batch of profiles, each folded by
+        the same products as on its own.
         """
-        buf = getattr(self._local, "buf", None)
-        if buf is None or buf.size < size * size:
-            buf = self._local.buf = np.empty(size * size, dtype=np.complex128)
-        return buf[: size * size].reshape(size, size)
-
-    def _by_fine_index(self, mats: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """(... x N x K) complex: mats[n] (real, K x L) times the coarse bins of
-        fine index n of each profile, cells lN + n, one real (L x 2) product
-        per n. The profiles lie along the last axis of values."""
         n_pulses, _, l_bins = self.stack.shape
         h = np.ascontiguousarray(values, dtype=np.complex128)
         lead = h.shape[:-1]
         # the (L x 2) real matrices of the fine indices, strided views of h:
         # BLAS reads them in place, with the digits of a contiguous copy
         h = h.view(np.float64).reshape(*lead, l_bins, n_pulses, 2).swapaxes(-2, -3)
-        return (mats @ h).view(np.complex128)[..., 0]
-
-    def fold(self, values: np.ndarray) -> np.ndarray:
-        """Shape-weighted profiles folded over the coarse bins, (... x N x S).
-
-        Entry (n, s) sums E[s, lN + n] h[lN + n] over l: stack[n] times the
-        coarse bins of fine index n. Leading axes of values are a batch of
-        profiles, each folded by the same products as on its own.
-        """
-        return self._by_fine_index(self.stack, values)
+        return (self.stack @ h).view(np.complex128)[..., 0]
 
     def unfold(self, grid: np.ndarray) -> np.ndarray:
         """Adjoint of fold: the profiles that (... x N x S) grids back to.
@@ -199,11 +172,6 @@ class _Radar:
         w = grid.view(np.float64).reshape(*lead, n_pulses, s_count, 2)
         g = (self.stack.transpose(0, 2, 1) @ w).view(np.complex128)[..., 0]
         return g.swapaxes(-1, -2).reshape(*lead, -1)
-
-    def apply_blocks(self, blocks: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """A real block-diagonal matrix (N x L x L) times a profile: block n
-        acts on the coarse bins of fine index n, laid out as unfold does."""
-        return self._by_fine_index(blocks, values).T.ravel()
 
     def pulse_grid(self, values: np.ndarray) -> np.ndarray:
         """Noiseless echoes of each profile on every pulse, (... x N x S).
@@ -256,19 +224,6 @@ class _Radar:
         """Squared norm of the full pulse train's Phi, the largest top
         eigenvalue of its blocks: one batched L x L eigvalsh."""
         return float(np.linalg.eigvalsh(self.blocks)[:, -1].max())
-
-    @cached_property
-    def row_kernels(self) -> np.ndarray:
-        """FFT over n of stack[n] stack[n]^T, the kernels of Phi Phi^H."""
-        stack = self.stack
-        return _read_only(np.fft.fft(stack @ stack.transpose(0, 2, 1), axis=0))
-
-    def _complement(self, ridge: float) -> tuple:
-        """(A^-1, FFT over n of -stack[n] A_n^-1 stack[n]^T), A = blocks + ridge I."""
-        stack = self.stack
-        a_inv = np.linalg.inv(self.blocks + ridge * np.eye(stack.shape[2]))
-        kernels = np.fft.fft(-stack @ a_inv @ stack.transpose(0, 2, 1), axis=0)
-        return _read_only(a_inv), _read_only(kernels)
 
 
 @lru_cache(maxsize=8)

@@ -31,6 +31,7 @@ from .solvers import (
     RecoveryResult,
     SolverOptions,
     solve_least_squares,
+    solve_least_squares_batch,
     solve_sparse_l1,
     solve_sparse_l1_batch,
     solve_stretch_idft,
@@ -43,9 +44,10 @@ DEFAULT_SCATTERERS = 24
 THREADS_ENV = "SFR_THREADS"
 # Bytes that the trials of one batch may hold between them. A trial holds
 # fewer than 25 complex arrays of NL cells (its truth, TRM, observation,
-# results and solver state): tracemalloc put it at 118 kB at N=32, L=12 and
-# 322 kB at N=64, L=16. 32 MB keeps the README sweep's 120 trials in one
-# batch; more trials per batch gained no speed there.
+# results and solver state): tracemalloc put it at 126 kB at N=32, L=12 and
+# 335 kB at N=64, L=16 at 15 dB, both at the sparse loop's peak, which the
+# least-squares loop's state stays under. 32 MB keeps the README sweep's
+# 120 trials in one batch; more trials per batch gained no speed there.
 BATCH_BYTES = 32 * 2**20
 
 
@@ -208,13 +210,17 @@ def solve_method(spec: ExperimentSpec, method: str, sys, trm) -> RecoveryResult:
     return solve_stretch_idft(trm, spec.radar, spec.shape)
 
 
+# the methods that solve every trial of a batch in one loop
+BATCHED = {"sparse_l1": solve_sparse_l1_batch, "least_squares": solve_least_squares_batch}
+
+
 def _solve_all(spec: ExperimentSpec, method: str, drawn) -> tuple:
-    """(results, wall times) of one method on each drawn trial. The sparse
-    route solves every trial in one batch, and each trial's time is the
-    batch's share of its iterations; the others time each trial alone."""
-    if method == "sparse_l1":
+    """(results, wall times) of one method on each drawn trial. The
+    iterative methods solve every trial in one batch, and each trial's time
+    is the batch's share of its iterations; stretch times each trial alone."""
+    if method in BATCHED:
         start = time.perf_counter()
-        results = solve_sparse_l1_batch([sys for _, _, sys in drawn], spec.solver_opts)
+        results = BATCHED[method]([sys for _, _, sys in drawn], spec.solver_opts)
         wall = time.perf_counter() - start
         iters = [r.iterations for r in results]
         total = sum(iters)
@@ -230,8 +236,9 @@ def _solve_all(spec: ExperimentSpec, method: str, drawn) -> tuple:
 def run_batch(spec: ExperimentSpec, jobs) -> list:
     """(truth, records, results) of each (missing count, SNR, trial) job:
     every solver of the spec on the trial's one observation, a TrialRecord
-    and a RecoveryResult each. The jobs' sparse problems are solved
-    together; a job's records do not depend on the others in its batch."""
+    and a RecoveryResult each. The jobs' sparse and least-squares problems
+    are solved together; a job's records do not depend on the others in its
+    batch."""
     drawn = [draw_trial(spec, *job) for job in jobs]
     solved = {method: _solve_all(spec, method, drawn) for method in spec.solvers}
     trials = []

@@ -11,7 +11,10 @@ Three routes to an estimated range profile:
   sweep's route); one system is the batch of one, and a system's result
   does not depend on the batch it is solved in.
 * ``solve_least_squares``: ridge-regularized least squares on the same
-  linear model, solved through the normal equations.
+  linear model, by conjugate gradients (Hestenes & Stiefel, J. Res. NBS
+  49, 1952) on its normal equations, with the ridge matched to the noise
+  level. It runs on the same apply/adjoint pair and batches as the sparse
+  route does (solve_least_squares_batch).
 * ``solve_stretch_idft``: the classical per-column inverse DFT of the
   TRM, mapping each coarse bin to the column sampled nearest its centre.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from .echo import PulseSchedule, Trm
 from .model import ConfigError, PulseShape, RadarConfig, check_int
-from .sensing import SensingSystem, _ridge_solve, build_sensing_system
+from .sensing import SensingSystem, build_sensing_system
 
 TINY = np.finfo(float).tiny
 # The primal step of the sparse iteration is PRIMAL_STEP / ||Phi||, and the
@@ -42,6 +45,20 @@ BALL_MARGIN = 1e-3
 # of ||y||. All 120 noiseless README-config trials met it, each within
 # 8.2e-4 of the similarity of a solve to a residual of 1e-7-3e-5 ||y||.
 ZERO_BUDGET_TOL = 1e-3
+# Least squares stops once ||b - A x|| <= CG_TOL ||b||, with A x the
+# ridge-shifted normal operator and b = Phi^H y, recomputed from x. At
+# 1e-12 two of 800 drawn property-test gates missed the dense ridge
+# solve's 1e-8 bound (the worst by 2.3e-7); at 1e-13 all met it, the worst
+# at 5.6e-10.
+CG_TOL = 1e-13
+# The default ridge is ||Phi||^2 max(RIDGE_FLOOR, 4 n_rows sigma^2 / ||y||^2):
+# about 4 / SNR, near the ridge at which the residual meets the noise (the
+# discrepancy principle, Morozov 1966). On the README config at 5, 15 and
+# 25 dB, a ridge bisected to that point scored within 0.02 of this one at
+# every missing count, at about 10x the iterations; at 15 dB (120 trials)
+# mean similarity moved by at most 0.012 per count over 0.03-0.3 ||Phi||^2.
+# Noiseless systems and those of unknown noise level get the floor.
+RIDGE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,14 +68,16 @@ class SolverOptions:
     epsilon picks the residual budget explicitly; when None it is derived
     from the system noise level as epsilon_factor * sigma * sqrt(n_rows).
     Every value must be finite.
-    ls_ridge defaults to 1e-6 times the squared operator norm of the full
-    pulse train (operator_norm_sq), a property of the radar and the pulse
-    shape that is the same on every schedule. max_iters caps the sparse
-    solver's iterations, and rel_change_tol is its primal-change
-    tolerance: a system stops once an iteration moves its estimate by at
-    most that fraction of its norm and its residual meets the budget.
-    On the README config, 1e-6 took 1.7x the iterations of 1e-4 in all at
-    15 dB and 2.0x noiseless.
+    ls_ridge picks the least-squares ridge explicitly; when None it is
+    matched to the noise level of the observation (see RIDGE_FLOOR) and
+    scaled by the squared operator norm of the full pulse train
+    (operator_norm_sq), with 1e-6 of that norm when the system is
+    noiseless or its noise level unknown. max_iters caps the iterations of
+    both iterative solvers. rel_change_tol is the sparse solver's
+    primal-change tolerance: a system stops once an iteration moves its
+    estimate by at most that fraction of its norm and its residual meets
+    the budget. On the README config, 1e-6 took 1.7x the iterations of
+    1e-4 in all at 15 dB and 2.0x noiseless.
     """
 
     max_iters: int = 5000
@@ -102,8 +121,9 @@ class RecoveryResult:
     residual_l2 is always recomputed from the returned estimate, never
     taken from solver internals. For the sparse route, converged means
     the residual budget was met (with a zero budget, a residual of at most
-    ZERO_BUDGET_TOL ||y||); for the stretch route it means no rows had to
-    be zero-filled.
+    ZERO_BUDGET_TOL ||y||); for least squares, that the normal equations
+    were solved to CG_TOL within max_iters; for the stretch route, that no
+    rows had to be zero-filled.
     """
 
     h_est: np.ndarray
@@ -200,9 +220,7 @@ def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
     opts = opts or SolverOptions()
     if not systems:
         return []
-    radar = systems[0].radar
-    if any(s.radar is not radar for s in systems):
-        raise ValueError("the systems of one sparse batch must share one radar")
+    radar, mask = _batch_grid(systems, "sparse")
     results = [None] * len(systems)
     index, eps, budget = [], [], []
     for i, sys in enumerate(systems):
@@ -219,9 +237,7 @@ def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
 
     k = len(index)
     y = np.stack([radar.scatter(systems[i].y, systems[i].pulses) for i in index])
-    mask = np.zeros((k, radar.n_pulses, 1))
-    for j, i in enumerate(index):
-        mask[j, systems[i].pulses] = 1.0
+    mask = mask[index]
     norm_sq = np.array([operator_norm_sq(systems[i]) for i in index])
     tau = (PRIMAL_STEP / np.sqrt(norm_sq))[:, None]
     tau_sigma = (0.99 / norm_sq)[:, None]
@@ -275,6 +291,18 @@ def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
     return results
 
 
+def _batch_grid(systems, route: str) -> tuple:
+    """The one radar of a batch of systems and the (K x N x 1) mask of each
+    system's valid pulses on the full pulse grid."""
+    radar = systems[0].radar
+    if any(s.radar is not radar for s in systems):
+        raise ValueError(f"the systems of one {route} batch must share one radar")
+    mask = np.zeros((len(systems), radar.n_pulses, 1))
+    for j, sys in enumerate(systems):
+        mask[j, sys.pulses] = 1.0
+    return radar, mask
+
+
 def _row_sq(a: np.ndarray) -> np.ndarray:
     """The squared l2 norm of each row of a (K x ...), summed like np.vdot,
     with the digits each row gets on its own."""
@@ -282,19 +310,116 @@ def _row_sq(a: np.ndarray) -> np.ndarray:
     return np.vecdot(flat, flat).real
 
 
-def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
-    """Ridge-regularized least squares through the normal equations.
+def _ridge(sys: SensingSystem, opts: SolverOptions) -> float:
+    """The least-squares ridge of a system: ls_ridge, else ||Phi||^2 times
+    the larger of RIDGE_FLOOR and 4 n_rows sigma^2 / ||y||^2."""
+    if opts.ls_ridge is not None:
+        return opts.ls_ridge
+    scale = RIDGE_FLOOR
+    if sys.noise_sigma:
+        y_sq = float(np.vdot(sys.y, sys.y).real)
+        scale = max(scale, 4.0 * sys.n_rows * sys.noise_sigma**2 / y_sq)
+    return scale * operator_norm_sq(sys)
 
-    Minimizes ||y - phi h||^2 + ridge * ||h||^2; deterministic, and exact
-    up to factorization roundoff. The normal system is the smallest of the
-    complement, row and column forms (see sensing._ridge_solve); none is
-    NL x NL at the default sampling.
+
+def solve_least_squares(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
+    """Ridge least squares of one system: the one-system case of
+    solve_least_squares_batch."""
+    return solve_least_squares_batch([sys], opts)[0]
+
+
+def solve_least_squares_batch(systems, opts: SolverOptions | None = None) -> list:
+    """Ridge least squares: min ||y - Phi h||^2 + mu ||h||^2, for each of
+    several systems of one radar, in one conjugate-gradient loop.
+
+    CG on the normal equations (Phi^H Phi + mu I) h = Phi^H y, with mu
+    from _ridge. The operator is one pulse_grid, the zeroing of the
+    missing pulses and one backproject_grid of the radar, plus mu h: the
+    pair the sparse loop iterates with. A system stops once its residual
+    b - A h, recomputed from h rather than taken from the recurrence, is
+    at most CG_TOL of b = Phi^H y; when the recurrence claims that and the
+    recomputed residual disagrees, the system restarts from the recomputed
+    one. A stopped system leaves the loop, and the others go on; one that
+    has not stopped after max_iters iterations is returned with
+    converged=False. A system whose Phi^H y is zero gets the zero profile
+    without iterating. A system's result does not depend on the others it
+    is solved with. Returns one RecoveryResult per system, in order.
     """
     opts = opts or SolverOptions()
-    ridge = opts.ls_ridge
-    if ridge is None:
-        ridge = 1e-6 * operator_norm_sq(sys)
-    return _result(sys, _ridge_solve(sys, ridge), 0, None, True)
+    if not systems:
+        return []
+    radar, mask = _batch_grid(systems, "least-squares")
+    results = [None] * len(systems)
+    index = []
+    for i, sys in enumerate(systems):
+        if np.any(sys.adjoint_y):
+            index.append(i)
+        else:
+            zero = np.zeros(sys.n_cells, dtype=np.complex128)
+            results[i] = _result(sys, zero, 0, None, True)
+    if not index:
+        return results
+
+    k = len(index)
+    b = np.stack([systems[i].adjoint_y for i in index])
+    mask = mask[index]
+    mu = np.array([_ridge(systems[i], opts) for i in index])[:, None]
+    tol_sq = CG_TOL**2 * _row_sq(b)
+
+    def normal(p, mask, mu):
+        """(Phi^H Phi + mu I) p, row by row."""
+        grid = radar.pulse_grid(p)
+        grid *= mask
+        ap = radar.backproject_grid(grid)
+        ap += mu * p
+        return ap
+
+    rows = np.arange(k)  # the output row of each running system
+    x_out = np.empty_like(b)
+    iterations = [opts.max_iters] * k
+    converged = [False] * k
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    r_sq = _row_sq(r)
+    for it in range(1, opts.max_iters + 1):
+        ap = normal(p, mask, mu)
+        alpha = (r_sq / np.vecdot(p, ap).real)[:, None]
+        x += alpha * p
+        r -= alpha * ap
+        r_sq_new = _row_sq(r)
+        claimed = r_sq_new <= tol_sq
+        stopped = np.zeros(len(rows), dtype=bool)
+        if claimed.any():
+            true_r = b[claimed] - normal(x[claimed], mask[claimed], mu[claimed])
+            true_sq = _row_sq(true_r)
+            met = true_sq <= tol_sq[claimed]
+            stopped[claimed] = met
+            # the others restart from the recomputed residual
+            restart = np.flatnonzero(claimed)[~met]
+            r[restart] = true_r[~met]
+            r_sq_new[restart] = true_sq[~met]
+        beta = (r_sq_new / r_sq)[:, None]
+        beta[claimed & ~stopped] = 0.0
+        p *= beta
+        p += r
+        r_sq = r_sq_new
+        if stopped.any():
+            x_out[rows[stopped]] = x[stopped]
+            for j in rows[stopped].tolist():
+                iterations[j] = it
+                converged[j] = True
+            if stopped.all():
+                break
+            running = ~stopped
+            rows, x, r, p, r_sq, b, mask, mu, tol_sq = (
+                a[running] for a in (rows, x, r, p, r_sq, b, mask, mu, tol_sq)
+            )
+    else:
+        x_out[rows] = x
+    for j, i in enumerate(index):
+        results[i] = _result(systems[i], x_out[j], iterations[j], None, converged[j])
+    return results
 
 
 def stretch_bin_columns(cfg: RadarConfig) -> list:

@@ -13,7 +13,6 @@ from sfradar import (
     random_missing_schedule,
 )
 from sfradar.echo import _Radar
-from sfradar.sensing import GRAM_BLOCK
 from conftest import sparse_profile, synthesize_echo_sample
 
 
@@ -101,15 +100,6 @@ def test_adjoint_consistency(cfg32, ideal_shape):
         lhs = np.vdot(v, sys_.phi @ h)
         rhs = np.vdot(sys_.adjoint(v), h)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
-
-
-def test_gram_from_factors_on_default_gate(cfg32, ideal_shape):
-    # 384 cells: the E^T E factor is folded in over several column blocks
-    rng = np.random.default_rng(30)
-    _, _, _, sys_ = build_system(cfg32, ideal_shape, 12, rng)
-    assert sys_.n_cells > GRAM_BLOCK
-    dense = sys_.phi.conj().T @ sys_.phi
-    assert np.max(np.abs(sys_.gram() - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_build_does_not_materialise_phi(cfg32, ideal_shape):

@@ -17,6 +17,7 @@ from sfradar import (
     random_missing_schedule,
     soft_threshold,
     solve_least_squares,
+    solve_least_squares_batch,
     solve_sparse_l1,
     solve_sparse_l1_batch,
     solve_stretch_idft,
@@ -24,9 +25,7 @@ from sfradar import (
 from sfradar.echo import Trm, _Radar, _radar_model
 from sfradar.model import ConfigError
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
-from sfradar import sensing
-from sfradar.sensing import _normal_form, _pulse_gram
-from sfradar.solvers import operator_norm_sq
+from sfradar.solvers import RIDGE_FLOOR, operator_norm_sq
 from conftest import sparse_profile
 
 
@@ -141,47 +140,26 @@ def test_operator_norm_sq_is_at_least_the_pulse_count(cfg32, shape_args):
 
 
 @pytest.mark.parametrize("n_missing", [0, 4, 8, 12, 16, 20])
-def test_small_normal_forms_skip_the_column_gram(cfg32, ideal_shape, monkeypatch,
-                                                 n_missing):
-    # the norm comes from the full train's L x L blocks on every schedule;
-    # LS solves S(N - M) x S(N - M) (complement) or S*M x S*M (rows), never NL x NL
+def test_operator_norm_sq_is_the_full_train_norm_on_every_schedule(cfg32, ideal_shape,
+                                                                   n_missing):
+    # the norm comes from the full train's L x L blocks on every schedule,
+    # bounds this schedule's, and is all that least squares needs of Phi
+    # besides the apply/adjoint pair
     rng = np.random.default_rng(47)
     _, _, sys_ = radar_system(cfg32, ideal_shape, n_missing, rng, 24)
     exact = np.linalg.norm(sys_.phi, 2) ** 2
     full = full_train_norm_sq(cfg32, ideal_shape)
-
-    def no_gram(*args):
-        raise AssertionError("Gram matrix built for the norm")
-
-    monkeypatch.setattr(SensingSystem, "gram", no_gram)
-    with monkeypatch.context() as m:
-        m.setattr(sensing, "_pulse_gram", no_gram)
-        norm = operator_norm_sq(sys_)
+    norm = operator_norm_sq(sys_)
     assert norm == pytest.approx(full, rel=1e-10)
     assert norm >= exact * (1 - 1e-12)
 
-    fresh = with_y(sys_, sys_.y)  # no norm cached yet
+    fresh = with_y(sys_, sys_.y)  # no Phi^H y formed yet
     assert solve_least_squares(fresh).converged
-    # only 20 missing takes the row form: S*M = 216 < S(N - M) = 360
-    assert _normal_form(fresh) == ("rows" if n_missing == 20 else "complement")
+    assert "phi" not in vars(fresh)
 
 
-def test_row_gram_memory(cfg32, ideal_shape):
-    rng = np.random.default_rng(48)
-    _, _, sys_ = radar_system(cfg32, ideal_shape, 20, rng, 24)
-    tracemalloc.start()
-    try:
-        gram = _pulse_gram(sys_.radar.row_kernels, sys_.pulses)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert gram.shape == (sys_.n_rows, sys_.n_rows)
-    assert peak < 1.5 * gram.nbytes
-
-
-def test_large_gate_least_squares_stays_below_one_column_gram(monkeypatch):
-    # N=64, L=16, 16 missing: the complement form (384 rows) against a
-    # 1024 x 1024 column Gram
+def test_large_gate_least_squares_stays_below_one_column_gram():
+    # N=64, L=16, 16 missing: the CG state against a 1024 x 1024 column Gram
     cfg = RadarConfig(
         f_c=5.0e9, delta_f=16e6, n_pulses=64, pulse_bandwidth=24e6, l_bins=16
     )
@@ -189,10 +167,6 @@ def test_large_gate_least_squares_stays_below_one_column_gram(monkeypatch):
     rng = np.random.default_rng(49)
     _, _, sys_ = radar_system(cfg, shape, 16, rng, 24, seed=5)
 
-    def no_gram(self):
-        raise AssertionError("NL x NL Gram matrix built")
-
-    monkeypatch.setattr(SensingSystem, "gram", no_gram)
     tracemalloc.start()
     try:
         h = solve_least_squares(sys_).h_est
@@ -201,83 +175,51 @@ def test_large_gate_least_squares_stays_below_one_column_gram(monkeypatch):
         tracemalloc.stop()
     assert peak < sys_.n_cells**2 * np.dtype(np.complex128).itemsize
 
+    # noiseless, so the default ridge is the floor
     phi = sys_.phi
-    ridge = 1e-6 * operator_norm_sq(sys_)
+    ridge = RIDGE_FLOOR * operator_norm_sq(sys_)
     gram = phi.conj().T @ phi
     gram[np.diag_indices_from(gram)] += ridge
     dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
     assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
-def large_gate_systems(missing_and_seeds, rng):
+def large_gate_systems(missing_and_seeds, rng, noise=None):
     """Systems of the N=64, L=16 radar, one per (missing count, schedule seed)."""
     cfg = RadarConfig(
         f_c=5.0e9, delta_f=16e6, n_pulses=64, pulse_bandwidth=24e6, l_bins=16
     )
     shape = PulseShape.ideal_sinc(cfg.pulse_bandwidth)
-    return [radar_system(cfg, shape, m, rng, 24, seed=s)[2] for m, s in missing_and_seeds]
+    return [
+        radar_system(cfg, shape, m, rng, 24, noise=noise, seed=s)[2]
+        for m, s in missing_and_seeds
+    ]
 
 
-def in_new_thread(fn):
-    """fn() run in a new thread, whose workspaces start empty."""
-    out = []
-    t = threading.Thread(target=lambda: out.append(fn()))
-    t.start()
-    t.join(timeout=120)
-    assert not t.is_alive()
-    assert out, "the thread raised"
-    return out[0]
+def test_least_squares_batch_holds_a_few_profiles_per_system():
+    # N=64, L=16 at 15 dB, 8 systems in one batch: the CG loop's state is a
+    # few arrays of NL cells and a pulse grid per system, against a 384 x
+    # 384 capacitance matrix (2.4 MB) per trial before
+    from sfradar import NoiseModel
 
-
-def test_second_least_squares_solve_allocates_no_capacitance_matrix():
-    # N=64, L=16, 16 missing: a 384 x 384 complex capacitance matrix, 2.4 MB.
-    # The first solve grows this thread's workspace, the second gathers into it
-    first, second = large_gate_systems([(16, 6), (16, 7)], np.random.default_rng(51))
-    assert _normal_form(second) == "complement"
-    solve_least_squares(first)
+    systems = large_gate_systems([(16, s) for s in range(6, 14)],
+                                 np.random.default_rng(51), NoiseModel(15.0, 3))
+    for s in systems:
+        s.adjoint_y  # formed by the sweep before the solve
     tracemalloc.start()
     try:
-        solve_least_squares(second)
+        results = solve_least_squares_batch(systems)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = second.radar.envelopes.shape[0] * 16
-    assert size == 384
-    assert peak < 0.5 * size * size * np.dtype(np.complex128).itemsize
-
-
-def test_least_squares_in_a_used_workspace_matches_a_fresh_one():
-    # 16, then 4, then 16 missing in one thread: the 96 x 96 capacitance
-    # matrix lies in the front of the 384 x 384 workspace, and the last
-    # system gets a workspace full of the first one's entries. Each must
-    # read none of them.
-    systems = large_gate_systems([(16, 8), (4, 9), (16, 10)], np.random.default_rng(52))
-    assert [_normal_form(s) for s in systems] == ["complement"] * 3
-    fresh = [in_new_thread(lambda s=s: solve_least_squares(s).h_est) for s in systems]
-    in_turn = in_new_thread(lambda: [solve_least_squares(s).h_est for s in systems])
-    for h, ref in zip(in_turn, fresh):
-        assert np.array_equal(h, ref)
-
-
-def test_each_thread_solves_in_its_own_workspace(cfg32, ideal_shape):
-    # one radar model, shared by every caller of its config: the arrays it
-    # hands out in two threads share no memory, and one thread's calls
-    # reuse one buffer. Each thread's arrays outlive it, so a buffer shared
-    # across threads would still be the one handed out here.
-    radar = _radar_model(cfg32, ideal_shape)
-    first = in_new_thread(lambda: (radar.workspace(100), radar.workspace(60)))
-    second = in_new_thread(lambda: (radar.workspace(100), radar.workspace(60)))
-    for a, b in (first, second):
-        assert np.shares_memory(a, b)
-    assert not np.shares_memory(first[0], second[0])
-    here = radar.workspace(100)
-    assert not any(np.shares_memory(here, a) for a in first + second)
+    assert all(r.converged for r in results)
+    profile = systems[0].n_cells * np.dtype(np.complex128).itemsize
+    assert peak < 16 * profile * len(systems)
 
 
 def test_concurrent_least_squares_threads_match_serial_calls(cfg32, ideal_shape):
     # more threads than CPUs, each solving its own system of the one shared
-    # radar over and over, with frequent switches: complement forms of 288
-    # and 144 rows, a row form of 216 rows
+    # radar over and over, with frequent switches
     rng = np.random.default_rng(53)
     systems = [
         radar_system(cfg32, ideal_shape, m, rng, 24, seed=m)[2] for m in (16, 8, 20, 12)
@@ -310,13 +252,12 @@ def test_concurrent_least_squares_threads_match_serial_calls(cfg32, ideal_shape)
 
 
 def test_both_methods_form_phi_h_y_once(cfg32, ideal_shape, monkeypatch):
-    # the complement LS form and the sparse route read one cached Phi^H y
+    # the least-squares and sparse routes read one cached Phi^H y
     from sfradar import NoiseModel
 
     _, _, sys_ = radar_system(
         cfg32, ideal_shape, 8, np.random.default_rng(54), 24, NoiseModel(15.0, 3)
     )
-    assert _normal_form(sys_) == "complement"
     calls = []
     adjoint = SensingSystem.adjoint
 
@@ -333,8 +274,7 @@ def test_both_methods_form_phi_h_y_once(cfg32, ideal_shape, monkeypatch):
 
 @pytest.mark.parametrize("n_missing", [0, 8, 20])
 def test_ls_ridge_values_on_one_radar_match_dense(cfg32, ideal_shape, n_missing):
-    # complement form at 0 and 8 missing, row form at 20; the ridge-shifted
-    # factors are kept per ridge, so the second value must not reuse the first
+    # one radar, three ridges in turn: each solve reads only its own
     from sfradar import NoiseModel
 
     rng = np.random.default_rng(50)
@@ -555,8 +495,102 @@ def test_ls_zero_observation():
     _, sys_ = random_system(4, 5, 2, 5, rng)  # 20 rows, 10 cells
     sys_zero = with_y(sys_, np.zeros(20, dtype=complex))
     rec = solve_least_squares(sys_zero)
-    assert np.allclose(rec.h_est, 0)
-    assert rec.converged
+    assert np.all(rec.h_est == 0)
+    assert rec.converged and rec.iterations == 0
+
+
+def readme_gate_systems(snr_db, missing=(0, 8, 16), trials=2):
+    """Systems of the README gate (N=32, L=12), drawn as the sweep draws them."""
+    cfg = RadarConfig(f_c=5.0e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=24e6, l_bins=12)
+    spec = ExperimentSpec(radar=cfg, target=SyntheticSparse(24), sweep=missing,
+                          snr_db=snr_db, trials_per_point=trials, seed=1)
+    return [draw_trial(spec, m, snr_db, t)[2] for m in missing for t in range(trials)]
+
+
+def test_ls_reports_its_iterations_and_a_cap_it_hit():
+    sys_ = readme_gate_systems(15.0, missing=(8,), trials=1)[0]
+    capped = solve_least_squares(sys_, SolverOptions(max_iters=2))
+    assert not capped.converged and capped.iterations == 2
+    done = solve_least_squares(sys_)
+    assert done.converged and 2 < done.iterations < SolverOptions().max_iters
+
+
+def test_ls_default_ridge_follows_the_noise_level():
+    # 15 dB: mu = ||Phi||^2 * 4 n_rows sigma^2 / ||y||^2, about 4 / SNR, and
+    # the solve matches the dense one at that mu; an unknown noise level
+    # gets the noiseless floor
+    sys_ = readme_gate_systems(15.0, missing=(12,), trials=1)[0]
+    norm = operator_norm_sq(sys_)
+    scale = 4 * sys_.n_rows * sys_.noise_sigma**2 / np.linalg.norm(sys_.y) ** 2
+    assert 0.05 < scale < 0.2
+    phi = sys_.phi
+    gram = phi.conj().T @ phi + scale * norm * np.eye(sys_.n_cells)
+    dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
+    h = solve_least_squares(sys_).h_est
+    assert np.linalg.norm(h - dense) <= 1e-8 * np.linalg.norm(dense)
+
+    unknown = SensingSystem(sys_.y, None, sys_.radar, sys_.pulses)
+    floor = solve_least_squares(unknown, SolverOptions(ls_ridge=RIDGE_FLOOR * norm))
+    assert np.array_equal(solve_least_squares(unknown).h_est, floor.h_est)
+
+
+def test_ls_batch_results_do_not_depend_on_the_batch():
+    # noiseless and 15 dB systems stop at different iterations, one hits the
+    # cap, and a zero observation takes the zero-profile exit
+    systems = readme_gate_systems(None) + readme_gate_systems(15.0)
+    systems.insert(3, with_y(systems[0], np.zeros_like(systems[0].y)))
+    for opts in (SolverOptions(), SolverOptions(max_iters=60)):
+        batch = solve_least_squares_batch(systems, opts)
+        alone = [solve_least_squares(s, opts) for s in systems]
+        assert len({r.iterations for r in batch}) > 3
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got.h_est, want.h_est)
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert batch[3].iterations == 0 and not np.any(batch[3].h_est)
+    assert not all(r.converged for r in batch)
+
+
+def test_ls_batch_of_no_systems_and_of_two_radars(cfg32, ideal_shape):
+    assert solve_least_squares_batch([]) == []
+    rng = np.random.default_rng(47)
+    _, _, radar_sys = radar_system(cfg32, ideal_shape, 8, rng, 24)
+    _, other = random_system(6, 9, 5, 5, rng)
+    with pytest.raises(ValueError, match="one radar"):
+        solve_least_squares_batch([radar_sys, other])
+
+
+# solves README-gate and N=64, L=16 systems and prints a digest of each estimate
+BLAS_THREADS_SCRIPT = """
+import hashlib
+from sfradar import RadarConfig, solve_least_squares
+from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
+for n, l in ((32, 12), (64, 16)):
+    cfg = RadarConfig(f_c=5.0e9, delta_f=16e6, n_pulses=n, pulse_bandwidth=24e6, l_bins=l)
+    spec = ExperimentSpec(radar=cfg, target=SyntheticSparse(24), sweep=(n // 4, n // 2),
+                          snr_db=(None, 15.0), trials_per_point=1, seed=9)
+    for m in spec.sweep:
+        for snr in spec.snr_db:
+            h = solve_least_squares(draw_trial(spec, m, snr, 0)[2]).h_est
+            print(hashlib.sha256(h.tobytes()).hexdigest())
+"""
+
+
+def test_ls_does_not_depend_on_the_blas_thread_count():
+    import os
+    import subprocess
+
+    import sfradar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfradar.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 8
+    assert digests[0] == digests[1]
 
 
 def test_ls_recovers_full_rank_noiseless(cfg32, ideal_shape):
