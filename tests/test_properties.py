@@ -9,7 +9,7 @@ the independence of the per-trial seed streams.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sfradar import (
@@ -32,9 +32,25 @@ from sfradar.solvers import operator_norm_sq
 DELTA_F = 16e6
 
 
+# whether a system's size falls in a regime, given its missing-pulse rows
+# S(N - M), kept rows S*M and cells NL: the regime names the smallest of
+# the three, ties going to the earlier. Rows fewer than cells leave the
+# ridge to fix the null space; cells fewer than rows give an overdetermined
+# solve
+SMALLEST = {
+    "complement": lambda k, m, nl: k <= m and k <= nl,
+    "rows": lambda k, m, nl: m < k and m <= nl,
+    "columns": lambda k, m, nl: nl < k and nl < m,
+}
+
+
 @st.composite
-def systems(draw, full=None):
-    """(config, profile values, system) for a random gate, shape and schedule."""
+def systems(draw, full=None, regime=None):
+    """(config, profile values, system) for a random gate, shape and schedule.
+
+    With regime given, the number of kept pulses is drawn among those for
+    which the system falls in that regime of SMALLEST.
+    """
     n_pulses = draw(st.integers(2, 8))
     l_bins = draw(st.integers(1, 4))
     bandwidth = DELTA_F * draw(st.sampled_from([1.0, 1.5, 2.0, 2.5]))
@@ -50,9 +66,19 @@ def systems(draw, full=None):
             bandwidth, "windowed_sinc", draw(st.sampled_from(WINDOWS)),
             draw(st.floats(0.5, 4.0)) / bandwidth,
         )
-    if full is None:
+    if regime is None and full is None:
         full = draw(st.booleans())
-    if full:
+    if regime is not None:
+        s_count = cfg.n_samples
+        counts = [
+            m for m in range(1, n_pulses + 1)
+            if SMALLEST[regime](s_count * (n_pulses - m), s_count * m, cfg.n_cells)
+        ]
+        assume(counts)
+        m_count = draw(st.sampled_from(counts))
+        kept = draw(st.permutations(range(n_pulses)))[:m_count]
+        schedule = PulseSchedule(tuple(sorted(kept)), n_pulses)
+    elif full:
         schedule = PulseSchedule.full(n_pulses)
     else:
         kept = draw(st.sets(st.integers(0, n_pulses - 1), min_size=1))
@@ -167,12 +193,11 @@ def test_gram_blocks_are_the_fine_major_gram(case):
     assert np.max(np.abs(gram - blocks)) <= 1e-12 * scale
 
 
-# three times PROPERTY's examples: one run per normal form before least
-# squares became one conjugate-gradient route
-@settings(PROPERTY, max_examples=180)
-@given(systems())
-def test_least_squares_matches_dense_ridge_solution(case):
-    _, _, sys_ = case
+@pytest.mark.parametrize("regime", ["complement", "rows", "columns"])
+@PROPERTY
+@given(data=st.data())
+def test_least_squares_matches_dense_ridge_solution(regime, data):
+    _, _, sys_ = data.draw(systems(regime=regime))
     assert_least_squares_matches_dense_ridge_solution(sys_)
 
 
