@@ -75,9 +75,10 @@ class NoiseModel:
 
     The per-sample variance is set against the mean squared modulus of
     the noiseless TRM being built: sigma^2 = P_sig / 10^(snr_db / 10).
-    Draws are keyed by (seed, pulse index, sample index), so the noise
-    hitting a given pulse/sample does not depend on which other pulses
-    survived.
+    One generator seeded by seed draws unit noise for every pulse of the
+    train, and the TRM takes the rows of its valid pulses, so the noise
+    hitting a given pulse/sample depends on the seed alone, not on which
+    other pulses survived.
     """
 
     snr_db: float
@@ -253,19 +254,16 @@ def build_trm(
         raise ConfigError(
             f"schedule is for {schedule.n_pulses} pulses, config has {cfg.n_pulses}"
         )
-    s_count = cfg.n_samples
-    data = _radar_model(cfg, shape).echoes(
-        profile.values, list(schedule.valid_indices)
-    )
+    kept = list(schedule.valid_indices)
+    data = _radar_model(cfg, shape).echoes(profile.values, kept)
 
     sigma = 0.0
     if noise is not None:
         signal_power = float(np.mean(np.abs(data) ** 2))
         sigma = noise.sigma_for(signal_power)
         if sigma > 0:
-            data = data + sigma * _unit_noise(
-                noise.seed, schedule.valid_indices, s_count
-            )
+            unit = _unit_noise(noise.seed, cfg.n_pulses, cfg.n_samples)
+            data = data + sigma * unit[kept]
 
     return Trm(
         data=data,
@@ -275,16 +273,15 @@ def build_trm(
     )
 
 
-def _unit_noise(seed: int, pulse_indices, s_count: int) -> np.ndarray:
-    """Unit-power circular complex Gaussian draws keyed per (pulse, sample).
+def _unit_noise(seed: int, n_pulses: int, s_count: int) -> np.ndarray:
+    """Unit-power circular complex Gaussian draws on the full (N x S) pulse
+    grid.
 
-    Pulse c draws its S real parts, then its S imaginary parts, from a
-    PCG64 seeded by SeedSequence([seed, c]), straight into its row.
+    One PCG64 seeded by seed draws an (N, 2, S) array: for pulse c in
+    order, its S real parts, then its S imaginary parts. So row c depends
+    on the seed and c alone, whichever rows a caller then takes.
     """
-    z = np.empty((len(pulse_indices), 2, s_count))
-    for row, c_m in zip(z, pulse_indices):
-        bits = np.random.PCG64(np.random.SeedSequence([seed, int(c_m)]))
-        np.random.Generator(bits).standard_normal(out=row)
+    z = np.random.default_rng(seed).standard_normal((n_pulses, 2, s_count))
     return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
 
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 SHIFT_BOUND_DIVISOR = 8  # alignment search spans +/- n_cells / 8
 PSL_FLOOR_DB = -300.0
@@ -46,11 +45,11 @@ def similarity(truth, estimate) -> SimilarityReport:
     if norm_b > 0.0:
         n = a.size
         bound = n // SHIFT_BOUND_DIVISOR
-        # row k is np.roll(b, bound - k), so the rows span the shifts d in
-        # [-bound, bound]: windows of b padded circularly by bound on each
-        # side, without a copy
+        # score k is <a, np.roll(b, bound - k)>, so the scores span the
+        # shifts d in [-bound, bound]: the length-n windows of b padded
+        # circularly by bound on each side, one BLAS dot per window
         padded = np.concatenate((b[n - bound:], b, b[:bound]))
-        scores = (sliding_window_view(padded, n) @ a) / (norm_a * norm_b)
+        scores = np.correlate(padded, a, "valid") / (norm_a * norm_b)
         best_score = min(float(scores.max()), 1.0)
 
     return SimilarityReport(similarity=best_score, rel_l2_error=error)

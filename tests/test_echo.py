@@ -12,6 +12,7 @@ from sfradar import (
     build_trm,
     random_missing_schedule,
 )
+from sfradar.echo import _unit_noise
 from conftest import sparse_profile, synthesize_echo_sample
 
 
@@ -221,6 +222,29 @@ def test_noise_draws_keyed_by_pulse_and_sample(cfg32, ideal_shape):
     sub_units = unit_draws(sub_sched)
     for m, c_m in enumerate(sub_sched.valid_indices):
         assert np.allclose(sub_units[m], full_units[c_m], atol=1e-12)
+
+
+def test_a_kept_pulse_gets_the_same_noise_row_under_any_schedule(cfg32, ideal_shape):
+    # the TRM takes its valid pulses' rows of one (N x S) unit-noise grid
+    # drawn from the seed, so two schedules that both keep pulse c add c
+    # the same unit noise, bit for bit
+    rng = np.random.default_rng(14)
+    profile = RangeProfile(sparse_profile(cfg32, 24, rng), cfg32)
+    noise = NoiseModel(snr_db=10.0, seed=78)
+    grid = _unit_noise(noise.seed, cfg32.n_pulses, cfg32.n_samples)
+    a = random_missing_schedule(32, 12, seed=5)
+    b = random_missing_schedule(32, 20, seed=6)
+    shared = sorted(set(a.valid_indices) & set(b.valid_indices))
+    assert shared and a.valid_indices != b.valid_indices
+    units = []
+    for schedule in (a, b):
+        kept = list(schedule.valid_indices)
+        clean = build_trm(profile, schedule, ideal_shape).data
+        noisy = build_trm(profile, schedule, ideal_shape, noise)
+        assert np.array_equal(noisy.data, clean + noisy.noise_sigma * grid[kept])
+        units.append(dict(zip(kept, (noisy.data - clean) / noisy.noise_sigma)))
+    for c in shared:
+        assert np.allclose(units[0][c], units[1][c], rtol=0, atol=1e-12)
 
 
 def test_noise_deterministic_per_seed(cfg32, ideal_shape):

@@ -91,6 +91,32 @@ def test_similarity_shift_search_matches_loop_oracle(n):
         assert report.similarity == pytest.approx(min(score, 1.0), rel=1e-12)
 
 
+def roll_oracle(a, b):
+    """The best score over explicit np.roll copies of |b|, d in [-n // 8, n // 8]."""
+    a = np.abs(np.asarray(a))
+    b = np.abs(np.asarray(b))
+    n = a.size
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0:
+        return 0.0
+    scores = [a @ np.roll(b, d) for d in range(-(n // 8), n // 8 + 1)]
+    return min(max(scores) / (np.linalg.norm(a) * norm_b), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 384, 1024])
+def test_similarity_matches_a_roll_oracle(n):
+    # n = 1 and 7 search no shift, 8 and 9 one each way
+    rng = np.random.default_rng(n + 1)
+    for _ in range(5):
+        truth = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        estimate = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        estimate[rng.random(n) < 0.5] = 0
+        got = similarity(truth, estimate).similarity
+        assert got == pytest.approx(roll_oracle(truth, estimate), abs=1e-12)
+    zero = np.zeros(n, dtype=complex)
+    assert similarity(truth, zero).similarity == roll_oracle(truth, zero) == 0.0
+
+
 def test_similarity_shift_tie_scores_one_spike():
     truth = np.zeros(64, dtype=complex)
     truth[20] = 1.0

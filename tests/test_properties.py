@@ -326,7 +326,8 @@ def test_sweep_points_draw_independently(seed):
             kept = random_missing_schedule(
                 cfg.n_pulses, missing, seeds[missing, trial, 2]
             ).valid_indices
-            noise = _unit_noise(seeds[missing, trial, 3], kept, cfg.n_samples)
+            unit = _unit_noise(seeds[missing, trial, 3], cfg.n_pulses, cfg.n_samples)
+            noise = unit[list(kept)]
             draws.append((target[target != 0], noise[:, 0]))
     for i, (target_a, noise_a) in enumerate(draws):
         for target_b, noise_b in draws[i + 1:]:

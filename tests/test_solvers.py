@@ -25,6 +25,7 @@ from sfradar import (
 from sfradar.echo import Trm, _Radar, _radar_model
 from sfradar.model import ConfigError
 from sfradar.harness import ExperimentSpec, SyntheticSparse, draw_trial
+from sfradar import solvers
 from sfradar.solvers import RIDGE_FLOOR, operator_norm_sq
 from conftest import sparse_profile
 
@@ -532,6 +533,44 @@ def test_ls_default_ridge_follows_the_noise_level():
     unknown = SensingSystem(sys_.y, None, sys_.radar, sys_.pulses)
     floor = solve_least_squares(unknown, SolverOptions(ls_ridge=RIDGE_FLOOR * norm))
     assert np.array_equal(solve_least_squares(unknown).h_est, floor.h_est)
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 15.0, 25.0])
+def test_ls_default_stop_is_within_its_error_bound(snr_db):
+    # the stop certifies a relative error of LS_ERROR_TOL against the exact
+    # ridge solution: check it against the dense solve on noisy README-gate
+    # and N=64, L=16 systems
+    from sfradar import NoiseModel
+
+    batches = [readme_gate_systems(snr_db, missing=(0, 8, 20), trials=1)]
+    if snr_db == 15.0:
+        batches.append(large_gate_systems([(16, 5), (40, 6)], np.random.default_rng(52),
+                                          NoiseModel(snr_db, 4)))
+    for batch in batches:
+        for sys_, rec in zip(batch, solve_least_squares_batch(batch)):
+            assert rec.converged
+            phi = sys_.phi
+            mu = solvers._ridge(sys_, SolverOptions())
+            gram = phi.conj().T @ phi + mu * np.eye(sys_.n_cells)
+            dense = np.linalg.solve(gram, phi.conj().T @ sys_.y)
+            assert np.linalg.norm(rec.h_est - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def test_ls_floor_ridge_still_stops_on_cg_tol(monkeypatch):
+    # at the 1e-6 ||Phi||^2 floor the certified tolerance falls below
+    # CG_TOL, so CG_TOL sets the stop: the same iterations and bytes as a
+    # solve with no error tolerance at all
+    noisy = readme_gate_systems(15.0, missing=(8,), trials=1)[0]
+    floor = SolverOptions(ls_ridge=RIDGE_FLOOR * operator_norm_sq(noisy))
+    cases = [(s, SolverOptions()) for s in readme_gate_systems(None, missing=(0, 12))]
+    cases.append((noisy, floor))
+    default = [solve_least_squares(s, opts) for s, opts in cases]
+    monkeypatch.setattr(solvers, "LS_ERROR_TOL", 0.0)
+    for (s, opts), got in zip(cases, default):
+        want = solve_least_squares(s, opts)
+        assert got.converged and want.converged
+        assert got.iterations == want.iterations
+        assert got.h_est.tobytes() == want.h_est.tobytes()
 
 
 def test_ls_batch_results_do_not_depend_on_the_batch():
