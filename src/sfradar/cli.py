@@ -21,7 +21,7 @@ from .harness import (
     load_experiment_spec,
     run_experiment,
     run_trial,
-    solve_method,
+    solve_batch,
     write_trials_csv,
 )
 from .io import export_profile, load_trm_file
@@ -88,7 +88,7 @@ def cmd_recover(spec: ExperimentSpec, args) -> int:
     methods = spec.solvers if args.method else (spec.solvers[0],)
     for method in methods:
         try:
-            result = solve_method(spec, method, sys_, trm)
+            (result,) = solve_batch(spec, method, [trm], [sys_])
         except ConfigError as exc:  # a capture without a noise level, say
             raise ConfigError(f"{args.trm_file}: {exc}") from exc
         dest = os.path.join(out, f"recovered_{method}.csv")

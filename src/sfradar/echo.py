@@ -190,11 +190,6 @@ class _Radar:
         each (N x S) grid, then unfold. Batched as pulse_grid is."""
         return self.unfold(np.fft.ifft(grid, axis=-2, norm="forward"))
 
-    def echoes(self, values: np.ndarray, pulse_indices) -> np.ndarray:
-        """Noiseless echoes (M x S) of a profile: the rows of pulse_indices
-        in its pulse_grid."""
-        return self.pulse_grid(values)[pulse_indices]
-
     def scatter(self, v: np.ndarray, pulse_indices) -> np.ndarray:
         """Sample-major v (S x M) laid on the given pulses of a full (N x S)
         pulse grid, zero on the others."""
@@ -202,11 +197,6 @@ class _Radar:
         grid = np.zeros((n_pulses, s_count), dtype=np.complex128)
         grid[pulse_indices] = v.reshape(s_count, -1).T
         return grid
-
-    def backproject(self, v: np.ndarray, pulse_indices) -> np.ndarray:
-        """Adjoint of echoes: the profile that sample-major v (S x M) backs
-        to, the backprojection of its scatter."""
-        return self.backproject_grid(self.scatter(v, pulse_indices))
 
     @cached_property
     def blocks(self) -> np.ndarray:
@@ -255,7 +245,7 @@ def build_trm(
             f"schedule is for {schedule.n_pulses} pulses, config has {cfg.n_pulses}"
         )
     kept = list(schedule.valid_indices)
-    data = _radar_model(cfg, shape).echoes(profile.values, kept)
+    data = _radar_model(cfg, shape).pulse_grid(profile.values)[kept]
 
     sigma = 0.0
     if noise is not None:

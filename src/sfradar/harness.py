@@ -28,11 +28,8 @@ from .metrics import similarity
 from .model import ConfigError, PulseShape, RadarConfig, check_int
 from .sensing import build_sensing_system
 from .solvers import (
-    RecoveryResult,
     SolverOptions,
-    solve_least_squares,
     solve_least_squares_batch,
-    solve_sparse_l1,
     solve_sparse_l1_batch,
     solve_stretch_idft,
 )
@@ -94,7 +91,9 @@ class ExperimentSpec:
         single = snr is None or isinstance(snr, (numbers.Real, str))
         snr = (snr,) if single else tuple(snr)
         object.__setattr__(self, "snr_db", snr)
-        for name, values in (("sweep", sweep), ("snr_db", snr)):
+        solvers = tuple(self.solvers)
+        object.__setattr__(self, "solvers", solvers)
+        for name, values in (("sweep", sweep), ("snr_db", snr), ("solvers", solvers)):
             if not values or len(set(values)) < len(values):
                 raise ConfigError(f"{name} must list distinct values, got {values}")
         for v in sweep:
@@ -109,6 +108,8 @@ class ExperimentSpec:
             path = str(self.target.path)
             try:
                 truth = RangeProfile(load_profile_csv(path), self.radar)
+                if not np.any(truth.values):  # no trial could be scored
+                    raise ConfigError("profile is identically zero")
             except (OSError, ValueError) as exc:
                 # the file is named once: most loader errors name it already
                 message = str(exc) if path in str(exc) else f"target file {path}: {exc}"
@@ -119,10 +120,6 @@ class ExperimentSpec:
                 f"cannot place {self.target.n_scatterers} scatterers in "
                 f"{self.radar.n_cells} cells"
             )
-        solvers = tuple(self.solvers)
-        object.__setattr__(self, "solvers", solvers)
-        if not solvers:
-            raise ConfigError("at least one solver must be requested")
         for name in solvers:
             if name not in METHODS:
                 raise ConfigError(
@@ -201,44 +198,37 @@ def draw_trial(spec: ExperimentSpec, missing_count: int, snr_db, trial: int) -> 
     return truth, trm, build_sensing_system(cfg, shape, schedule, trm)
 
 
-def solve_method(spec: ExperimentSpec, method: str, sys, trm) -> RecoveryResult:
-    """Run one of METHODS with the spec's solver options on one trial."""
+def solve_batch(spec: ExperimentSpec, method: str, trms, systems) -> list:
+    """One RecoveryResult per trial of a batch, given as its TRMs and their
+    sensing systems: the one dispatch over METHODS. The sparse and the
+    least-squares problems of the batch are solved in one loop each; stretch
+    maps over the TRMs."""
     if method == "sparse_l1":
-        return solve_sparse_l1(sys, spec.solver_opts)
+        return solve_sparse_l1_batch(systems, spec.solver_opts)
     if method == "least_squares":
-        return solve_least_squares(sys, spec.solver_opts)
-    return solve_stretch_idft(trm, spec.radar, spec.shape)
-
-
-# the methods that solve every trial of a batch in one loop
-BATCHED = {"sparse_l1": solve_sparse_l1_batch, "least_squares": solve_least_squares_batch}
+        return solve_least_squares_batch(systems, spec.solver_opts)
+    return [solve_stretch_idft(trm, spec.radar, spec.shape) for trm in trms]
 
 
 def _solve_all(spec: ExperimentSpec, method: str, drawn) -> tuple:
-    """(results, wall times) of one method on each drawn trial. The
-    iterative methods solve every trial in one batch, and each trial's time
-    is the batch's share of its iterations; stretch times each trial alone."""
-    if method in BATCHED:
-        start = time.perf_counter()
-        results = BATCHED[method]([sys for _, _, sys in drawn], spec.solver_opts)
-        wall = time.perf_counter() - start
-        iters = [r.iterations for r in results]
-        total = sum(iters)
-        return results, [wall * (n / total if total else 1 / len(iters)) for n in iters]
-    results, walls = [], []
-    for _, trm, sys in drawn:
-        start = time.perf_counter()
-        results.append(solve_method(spec, method, sys, trm))
-        walls.append(time.perf_counter() - start)
-    return results, walls
+    """(results, wall times) of one method on each drawn trial of a batch:
+    each trial's time is the batch's share of its iterations, an even share
+    when none iterated."""
+    start = time.perf_counter()
+    results = solve_batch(
+        spec, method, [trm for _, trm, _ in drawn], [sys for _, _, sys in drawn]
+    )
+    wall = time.perf_counter() - start
+    iters = [r.iterations for r in results]
+    total = sum(iters)
+    return results, [wall * (n / total if total else 1 / len(iters)) for n in iters]
 
 
 def run_batch(spec: ExperimentSpec, jobs) -> list:
     """(truth, records, results) of each (missing count, SNR, trial) job:
     every solver of the spec on the trial's one observation, a TrialRecord
-    and a RecoveryResult each. The jobs' sparse and least-squares problems
-    are solved together; a job's records do not depend on the others in its
-    batch."""
+    and a RecoveryResult each. Each solver runs once on all the jobs, by
+    solve_batch; a job's records do not depend on the others in its batch."""
     drawn = [draw_trial(spec, *job) for job in jobs]
     solved = {method: _solve_all(spec, method, drawn) for method in spec.solvers}
     trials = []

@@ -66,11 +66,11 @@ class SensingSystem:
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """Phi h, sample-major like y."""
-        return self.radar.echoes(h, self.pulses).ravel(order="F")
+        return self.radar.pulse_grid(h)[self.pulses].ravel(order="F")
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Phi^H v."""
-        return self.radar.backproject(v, self.pulses)
+        return self.radar.backproject_grid(self.radar.scatter(v, self.pulses))
 
     @cached_property
     def adjoint_y(self) -> np.ndarray:

@@ -457,15 +457,15 @@ def stretch_bin_columns(cfg: RadarConfig) -> list:
 def solve_stretch_idft(trm: Trm, cfg: RadarConfig, shape: PulseShape) -> RecoveryResult:
     """Stretch processing: per-column inverse DFT over the pulse index.
 
-    Missing pulses are zero-filled to a full train first (the classical
-    degraded case, flagged converged=False). Each coarse bin takes the
-    inverse DFT of its selected column as its block of fine cells. The
-    pulse shape is only used to recompute the model residual.
+    The TRM is laid on the full pulse grid by the radar's scatter, as the
+    sparse loop lays its observation, so missing pulses are zero-filled
+    (the classical degraded case, flagged converged=False). Each coarse bin
+    takes the inverse DFT of its selected column as its block of fine
+    cells. The pulse shape is only used to recompute the model residual.
     """
     schedule = PulseSchedule(trm.row_pulse_indices, cfg.n_pulses)
     sys = build_sensing_system(cfg, shape, schedule, trm)
-    grid = np.zeros((cfg.n_pulses, trm.data.shape[1]), dtype=np.complex128)
-    grid[sys.pulses, :] = trm.data
+    grid = sys.radar.scatter(sys.y, sys.pulses)
 
     # (L, N): bin-wise inverse DFTs, (1/N) sum_n x_n exp(+j 2 pi n k / N)
     segments = np.fft.ifft(grid[:, stretch_bin_columns(cfg)].T)

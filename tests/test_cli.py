@@ -181,6 +181,35 @@ def test_recover_from_trm_file(tmp_path, capsys):
     assert overlap / denom > 0.99
 
 
+@pytest.mark.parametrize("missing", [0, 5])
+def test_recover_runs_the_path_simulate_runs(tmp_path, missing):
+    # every method recovers simulate's trial from its capture file to the
+    # same bytes that simulate exports: one solve path for both commands
+    config = CONFIG.replace("sweep = 0, 5", f"sweep = {missing}, 1").replace(
+        "solvers = sparse_l1, least_squares", "solvers = " + ", ".join(METHODS)
+    )
+    path = tmp_path / "sim.cfg"
+    path.write_text(config)
+    spec = load_experiment_spec(path)
+    _, trm, _ = harness.draw_trial(spec, missing, spec.snr_db[0], 0)
+    capture = tmp_path / "capture.trm"
+    write_trm_file(trm, capture)
+    rec_path = tmp_path / "rec.cfg"
+    rec_path.write_text(config.replace(
+        "seed = 9", "seed = 9\nvalid_pulses = " + ", ".join(
+            str(i) for i in trm.row_pulse_indices
+        )
+    ))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    for method in METHODS:
+        out = tmp_path / method
+        argv = ["recover", str(capture), "--config", str(rec_path), "--out", str(out),
+                "--method", method]
+        assert main(argv) == 0
+        recovered = (out / f"recovered_{method}.csv").read_bytes()
+        assert recovered == (tmp_path / "sim" / f"profile_{method}.csv").read_bytes()
+
+
 DEFAULT_GATE = CONFIG.replace("n_pulses = 16", "n_pulses = 32").replace(
     "l_bins = 3", "l_bins = 12"
 )
@@ -251,8 +280,10 @@ def test_recover_dimension_error_is_reported(tmp_path, config_path, capsys):
 @pytest.mark.parametrize(
     "old, new",
     [("sweep = 0, 5", "sweep ="), ("sweep = 0, 5", "sweep = 0, 0"),
-     ("snr_db = 15", "snr_db ="), ("snr_db = 15", "snr_db = 15, 15")],
-    ids=["empty_sweep", "repeated_sweep", "empty_snr", "repeated_snr"],
+     ("snr_db = 15", "snr_db ="), ("snr_db = 15", "snr_db = 15, 15"),
+     ("solvers = sparse_l1, least_squares", "solvers = sparse_l1, sparse_l1")],
+    ids=["empty_sweep", "repeated_sweep", "empty_snr", "repeated_snr",
+         "repeated_solvers"],
 )
 def test_empty_or_repeated_list_is_a_config_error(tmp_path, capsys, verb, old, new):
     path = tmp_path / "exp.cfg"
@@ -260,6 +291,40 @@ def test_empty_or_repeated_list_is_a_config_error(tmp_path, capsys, verb, old, n
     out = tmp_path / "out"
     assert main([verb, "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: {new.split()[0]} must list")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "recover"])
+def test_repeated_method_is_a_config_error(tmp_path, config_path, capsys, verb):
+    # as a repeated config solver is: it would run, and write, twice
+    argv = [verb, "--config", config_path, "--out", str(tmp_path / "out"),
+            "--method", "sparse_l1", "--method", "sparse_l1"]
+    if verb == "recover":
+        argv.insert(1, str(tmp_path / "capture.trm"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {config_path}: solvers must list distinct values"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_an_all_zero_target_file(tmp_path, capsys):
+    # refused when the config is read, naming the profile CSV, before any
+    # trial is solved
+    cfg = RadarConfig(
+        f_c=5.0e9, delta_f=16e6, n_pulses=16, pulse_bandwidth=24e6, l_bins=3
+    )
+    truth = tmp_path / "zero.csv"
+    export_profile(np.zeros(cfg.n_cells), range_axis(cfg), truth)
+    config = tmp_path / "file.cfg"
+    config.write_text(CONFIG.replace(
+        "kind = synthetic\nn_scatterers = 4", f"kind = file\npath = {truth}"
+    ))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: target file {truth}: ")
+    assert "identically zero" in err
     assert not out.exists()
 
 

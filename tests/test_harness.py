@@ -371,6 +371,24 @@ def test_spec_rejects_target_file_of_wrong_length(tmp_path, small_cfg):
         ExperimentSpec(radar=small_cfg, target=FileTarget(str(path)))
 
 
+def test_spec_rejects_an_all_zero_target_file(tmp_path, small_cfg):
+    # rejected when the spec is built, naming the file, not by the first
+    # batch's scoring once every trial has been solved
+    path = tmp_path / "zero.csv"
+    export_profile(np.zeros(small_cfg.n_cells), range_axis(small_cfg), path)
+    with pytest.raises(ConfigError, match=f"^target file {path}: .*identically zero"):
+        ExperimentSpec(radar=small_cfg, target=FileTarget(str(path)))
+
+
+def test_spec_rejects_repeated_solvers(small_cfg):
+    # as sweep and snr_db do: a repeated solver would write each of its
+    # rows twice
+    with pytest.raises(ConfigError, match="^solvers must list distinct values"):
+        ExperimentSpec(radar=small_cfg, solvers=("sparse_l1", "sparse_l1"))
+    spec = ExperimentSpec(radar=small_cfg, solvers=("sparse_l1", "least_squares"))
+    assert spec.solvers == ("sparse_l1", "least_squares")
+
+
 GOOD_CONFIG = """
 [radar]
 f_c = 5.0e9
