@@ -144,12 +144,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # flags are checked here, so that their errors do not name the config file
         overrides = {}
         if args.seed is not None:
-            # checked here, so that the error does not name the config file
             overrides["seed"] = check_int("seed", args.seed, 0)
         if getattr(args, "method", None):
-            overrides["solvers"] = tuple(args.method)
+            overrides["solvers"] = methods = tuple(args.method)
+            if len(set(methods)) < len(methods):
+                raise ConfigError(f"--method must list distinct values, got {methods}")
         return args.func(load_experiment_spec(args.config, **overrides), args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -210,33 +210,31 @@ def solve_batch(spec: ExperimentSpec, method: str, trms, systems) -> list:
     return [solve_stretch_idft(trm, spec.radar, spec.shape) for trm in trms]
 
 
-def _solve_all(spec: ExperimentSpec, method: str, drawn) -> tuple:
-    """(results, wall times) of one method on each drawn trial of a batch:
-    each trial's time is the batch's share of its iterations, an even share
-    when none iterated."""
-    start = time.perf_counter()
-    results = solve_batch(
-        spec, method, [trm for _, trm, _ in drawn], [sys for _, _, sys in drawn]
-    )
-    wall = time.perf_counter() - start
-    iters = [r.iterations for r in results]
-    total = sum(iters)
-    return results, [wall * (n / total if total else 1 / len(iters)) for n in iters]
-
-
 def run_batch(spec: ExperimentSpec, jobs) -> list:
     """(truth, records, results) of each (missing count, SNR, trial) job:
     every solver of the spec on the trial's one observation, a TrialRecord
     and a RecoveryResult each. Each solver runs once on all the jobs, by
-    solve_batch; a job's records do not depend on the others in its batch."""
+    solve_batch; a job's records do not depend on the others in its batch.
+    A trial's wall time is the batch's share of its iterations, an even
+    share when none iterated."""
     drawn = [draw_trial(spec, *job) for job in jobs]
-    solved = {method: _solve_all(spec, method, drawn) for method in spec.solvers}
+    trms, systems = [trm for _, trm, _ in drawn], [sys for _, _, sys in drawn]
+    solved = {}
+    for method in spec.solvers:
+        start = time.perf_counter()
+        results = solve_batch(spec, method, trms, systems)
+        wall = time.perf_counter() - start
+        total = sum(r.iterations for r in results)
+        solved[method] = [
+            (r, wall * (r.iterations / total if total else 1 / len(results)))
+            for r in results
+        ]
     trials = []
     for k, ((missing_count, snr_db, trial), (truth, _, _)) in enumerate(zip(jobs, drawn)):
         trial_seed = child_seed(spec.seed, missing_count, trial, 0)
         records, results = [], []
         for method in spec.solvers:
-            result, wall = solved[method][0][k], solved[method][1][k]
+            result, wall = solved[method][k]
             report = similarity(truth.values, result.h_est)
             results.append(result)
             records.append(

@@ -6,17 +6,17 @@ Three routes to an estimated range profile:
   residual budget, by primal-dual hybrid gradient iteration (Chambolle &
   Pock, J. Math. Imaging Vis. 40, 2011) on that constrained problem
   itself, with complex soft-thresholding as the primal step and the
-  projection onto the budget ball as the dual one. The iteration runs on
-  a batch of systems of one radar at once (solve_sparse_l1_batch, the
-  sweep's route); one system is the batch of one, and a system's result
-  does not depend on the batch it is solved in.
+  projection onto the budget ball as the dual one.
 * ``solve_least_squares``: ridge-regularized least squares on the same
   linear model, by conjugate gradients (Hestenes & Stiefel, J. Res. NBS
   49, 1952) on its normal equations, with the ridge matched to the noise
-  level. It runs on the same apply/adjoint pair and batches as the sparse
-  route does (solve_least_squares_batch).
+  level.
 * ``solve_stretch_idft``: the classical per-column inverse DFT of the
   TRM, mapping each coarse bin to the column sampled nearest its centre.
+
+The iterative routes solve a batch of systems of one radar at once (the
+*_batch functions; one system is the batch of one) in one frame, _Batch,
+and a system's result does not depend on its batch.
 """
 
 import math
@@ -151,9 +151,9 @@ def soft_threshold(z: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarra
     """Complex soft-thresholding: shrink moduli by t, preserve phases.
 
     Proximal operator of t * ||.||_1 for complex vectors:
-    z * max(1 - t / |z|, 0) elementwise, with 0 where z = 0. t may be an
-    array that broadcasts against z, one threshold per row. The result is
-    written to out, which may be z, else to a new array.
+    z * max(1 - t / |z|, 0) elementwise, with 0 where z = 0; t may be an
+    array that broadcasts against z. The result is written to out, which
+    may be z, else to a new array.
     """
     scale = np.abs(z)
     np.maximum(scale, TINY, out=scale)
@@ -200,6 +200,49 @@ def _result(sys, h, iterations, eps, converged=None) -> RecoveryResult:
     return RecoveryResult(h, residual, iterations, converged, eps)
 
 
+class _Batch:
+    """The bookkeeping of a batched solve over systems of one radar.
+
+    screen picks the systems that iterate, stop retires their rows as they
+    stop, and results gives every system its (estimate, iterations, met),
+    in order; a screened one gets the zero profile, 0 iterations and met.
+    """
+
+    def __init__(self, systems, route: str):
+        if any(s.radar is not systems[0].radar for s in systems):
+            raise ValueError(f"the systems of one {route} batch must share one radar")
+        self.systems = systems
+
+    def screen(self, iterate) -> tuple:
+        """(systems, mask) of the systems whose iterate flag is set, in
+        order: they become the running rows, and mask (K x N x 1) holds
+        their valid pulses on the full pulse grid."""
+        iterate = list(iterate)
+        self.h = [None if f else np.zeros(s.n_cells, dtype=np.complex128)
+                  for s, f in zip(self.systems, iterate)]
+        self.iterations, self.met = [0] * len(iterate), [True] * len(iterate)
+        self.rows = np.flatnonzero(iterate)  # the system of each running row
+        live = [self.systems[i] for i in self.rows]
+        mask = np.zeros((len(live), live[0].radar.n_pulses, 1)) if live else None
+        for j, sys in enumerate(live):
+            mask[j, sys.pulses] = 1.0
+        return live, mask
+
+    def stop(self, stopped, it, met, *state) -> tuple:
+        """Retire the running rows where stopped is set: each one's system
+        gets its row of state[0], the estimate, it iterations and met.
+        Returns the running rows of each state array."""
+        for i, h in zip(self.rows[stopped].tolist(), state[0][stopped]):
+            self.h[i], self.iterations[i], self.met[i] = h, it, met
+        running = ~stopped
+        self.rows = self.rows[running]
+        return tuple(a[running] for a in state)
+
+    def results(self):
+        """(estimate, iterations, met) of each system, in order."""
+        return zip(self.h, self.iterations, self.met)
+
+
 def solve_sparse_l1(sys: SensingSystem, opts: SolverOptions | None = None) -> RecoveryResult:
     """Sparse recovery of one system: the one-system case of
     solve_sparse_l1_batch."""
@@ -220,101 +263,68 @@ def solve_sparse_l1_batch(systems, opts: SolverOptions | None = None) -> list:
         x_new = soft(x - tau sigma Phi^H zeta, tau)
         x_bar = 2 x_new - x
 
-    with tau = PRIMAL_STEP / ||Phi||, tau sigma = 0.99 / ||Phi||^2 and
-    eps' = (1 - BALL_MARGIN) eps: one apply, of x_new (Phi x_bar is
-    2 Phi x_new - Phi x), and one adjoint, both taken from the radar's
-    pulse-grid forms. A system stops once its estimate moves by at most
-    rel_change_tol of its norm and its residual meets its budget, or after
-    max_iters iterations; it then leaves the loop, and the others go on.
-    A system whose zero profile meets the budget, or whose Phi^H y is zero
-    (no estimate shrinks its residual), gets the zero profile without
-    iterating. A system's result does not depend on the others it is
-    solved with. Returns one RecoveryResult per system, in order.
+    with tau = PRIMAL_STEP / ||Phi||, tau sigma = 0.99 / ||Phi||^2, one
+    pair for the radar, and eps' = (1 - BALL_MARGIN) eps: one apply, of
+    x_new (Phi x_bar is 2 Phi x_new - Phi x), and one adjoint, both taken
+    from the radar's pulse-grid forms. A system stops once its estimate
+    moves by at most rel_change_tol of its norm and its residual meets its
+    budget, or after max_iters iterations. A system whose zero profile
+    meets the budget, or whose Phi^H y is zero (no estimate shrinks its
+    residual), gets the zero profile without iterating. Returns one
+    RecoveryResult per system, in order; converged is whether its
+    residual meets its budget.
     """
     opts = opts or SolverOptions()
-    if not systems:
-        return []
-    radar, mask = _batch_grid(systems, "sparse")
-    results = [None] * len(systems)
-    index, eps, budget = [], [], []
-    for i, sys in enumerate(systems):
-        e = float(opts.resolve_epsilon(sys))
-        b = _budget(e, sys)
-        if float(np.linalg.norm(sys.y)) <= b or not np.any(sys.adjoint_y):
-            results[i] = _result(sys, np.zeros(sys.n_cells, dtype=np.complex128), 0, e)
-        else:
-            index.append(i)
-            eps.append(e)
-            budget.append(b)
-    if not index:
-        return results
+    batch = _Batch(systems, "sparse")
+    eps = [float(opts.resolve_epsilon(s)) for s in systems]
+    budget = [_budget(e, s) for e, s in zip(eps, systems)]
+    live, mask = batch.screen(
+        float(np.linalg.norm(s.y)) > b and np.any(s.adjoint_y)
+        for s, b in zip(systems, budget)
+    )
+    if live:
+        radar = live[0].radar
+        y = np.stack([radar.scatter(s.y, s.pulses) for s in live])
+        # one radar, one ||Phi||^2, but asked of each system: bench/ counts
+        # the operator_norm_sq calls of a trial
+        norm_sq = max(operator_norm_sq(s) for s in live)
+        tau, tau_sigma = PRIMAL_STEP / np.sqrt(norm_sq), 0.99 / norm_sq
+        ball = ((1.0 - BALL_MARGIN) * np.array(eps)[batch.rows])[:, None, None]
+        budget_sq = np.array(budget)[batch.rows] ** 2
+        tol_sq = opts.rel_change_tol**2
 
-    k = len(index)
-    y = np.stack([radar.scatter(systems[i].y, systems[i].pulses) for i in index])
-    mask = mask[index]
-    norm_sq = np.array([operator_norm_sq(systems[i]) for i in index])
-    tau = (PRIMAL_STEP / np.sqrt(norm_sq))[:, None]
-    tau_sigma = (0.99 / norm_sq)[:, None]
-    ball = ((1.0 - BALL_MARGIN) * np.array(eps))[:, None, None]
-    budget_sq = np.array(budget) ** 2
-    tol_sq = opts.rel_change_tol**2
-
-    rows = np.arange(k)  # the output row of each running system
-    x_out = np.empty((k, systems[0].n_cells), dtype=np.complex128)
-    iterations = [0] * k
-    x = np.zeros_like(x_out)
-    ax = np.zeros_like(y)  # Phi x
-    zeta = np.zeros_like(y)  # becomes u, then the new zeta, in place
-    ax_bar = ax
-    for it in range(1, opts.max_iters + 1):
-        zeta += ax_bar
-        zeta -= y
-        u_norm = np.sqrt(_row_sq(zeta))[:, None, None]
-        zeta *= 1.0 - np.minimum(1.0, ball / np.maximum(u_norm, TINY))
-        x_new = radar.backproject_grid(zeta)
-        x_new *= tau_sigma
-        np.subtract(x, x_new, out=x_new)
-        soft_threshold(x_new, tau, out=x_new)
-        ax_new = radar.pulse_grid(x_new)
-        ax_new *= mask
-        ax_bar = np.subtract(ax_new, ax, out=ax)
-        ax_bar += ax_new
-        delta = np.subtract(x_new, x, out=x)
-        x, ax = x_new, ax_new
-        stopped = _row_sq(delta) <= tol_sq * _row_sq(x)
-        if not stopped.any():
-            continue
-        # the residual test, only on the rows that have settled
-        stopped[stopped] = _row_sq(y[stopped] - ax[stopped]) <= budget_sq[stopped]
-        if stopped.all():
-            break
-        if stopped.any():
-            x_out[rows[stopped]] = x[stopped]
-            for j in rows[stopped].tolist():
-                iterations[j] = it
-            running = ~stopped
-            rows, x, ax, ax_bar, zeta, y, mask, tau, tau_sigma, ball, budget_sq = (
-                a[running] for a in
-                (rows, x, ax, ax_bar, zeta, y, mask, tau, tau_sigma, ball, budget_sq)
-            )
-    x_out[rows] = x
-    for j in rows.tolist():
-        iterations[j] = it
-    for j, i in enumerate(index):
-        results[i] = _result(systems[i], x_out[j], iterations[j], eps[j])
-    return results
-
-
-def _batch_grid(systems, route: str) -> tuple:
-    """The one radar of a batch of systems and the (K x N x 1) mask of each
-    system's valid pulses on the full pulse grid."""
-    radar = systems[0].radar
-    if any(s.radar is not radar for s in systems):
-        raise ValueError(f"the systems of one {route} batch must share one radar")
-    mask = np.zeros((len(systems), radar.n_pulses, 1))
-    for j, sys in enumerate(systems):
-        mask[j, sys.pulses] = 1.0
-    return radar, mask
+        x = np.zeros((len(live), live[0].n_cells), dtype=np.complex128)
+        ax = np.zeros_like(y)  # Phi x
+        zeta = np.zeros_like(y)  # becomes u, then the new zeta, in place
+        ax_bar = ax
+        for it in range(1, opts.max_iters + 1):
+            zeta += ax_bar
+            zeta -= y
+            u_norm = np.sqrt(_row_sq(zeta))[:, None, None]
+            zeta *= 1.0 - np.minimum(1.0, ball / np.maximum(u_norm, TINY))
+            x_new = radar.backproject_grid(zeta)
+            x_new *= tau_sigma
+            np.subtract(x, x_new, out=x_new)
+            soft_threshold(x_new, tau, out=x_new)
+            ax_new = radar.pulse_grid(x_new)
+            ax_new *= mask
+            ax_bar = np.subtract(ax_new, ax, out=ax)
+            ax_bar += ax_new
+            delta = np.subtract(x_new, x, out=x)
+            x, ax = x_new, ax_new
+            stopped = _row_sq(delta) <= tol_sq * _row_sq(x)
+            if not stopped.any():
+                continue
+            # the residual test, only on the rows that have settled
+            stopped[stopped] = _row_sq(y[stopped] - ax[stopped]) <= budget_sq[stopped]
+            if stopped.any():
+                x, ax, ax_bar, zeta, y, mask, ball, budget_sq = batch.stop(
+                    stopped, it, True, x, ax, ax_bar, zeta, y, mask, ball, budget_sq
+                )
+                if not len(x):
+                    break
+        batch.stop(np.ones(len(x), dtype=bool), opts.max_iters, False, x)
+    return [_result(s, h, n, e) for s, e, (h, n, _) in zip(systems, eps, batch.results())]
 
 
 def _row_sq(a: np.ndarray) -> np.ndarray:
@@ -355,92 +365,66 @@ def solve_least_squares_batch(systems, opts: SolverOptions | None = None) -> lis
     b = Phi^H y, which bounds the error of h by LS_ERROR_TOL of the exact
     solution's norm wherever CG_TOL does not bind; when the recurrence
     claims that and the recomputed residual disagrees, the system restarts
-    from the recomputed one. A stopped system leaves the loop, and the
-    others go on; one that has not stopped after max_iters iterations is
-    returned with converged=False. A system whose Phi^H y is zero gets the
-    zero profile without iterating. A system's result does not depend on
-    the others it is solved with. Returns one RecoveryResult per system, in
-    order.
+    from the recomputed one. A system that has not stopped after max_iters
+    iterations is returned with converged=False. A system whose Phi^H y is
+    zero gets the zero profile without iterating. Returns one
+    RecoveryResult per system, in order.
     """
     opts = opts or SolverOptions()
-    if not systems:
-        return []
-    radar, mask = _batch_grid(systems, "least-squares")
-    results = [None] * len(systems)
-    index = []
-    for i, sys in enumerate(systems):
-        if np.any(sys.adjoint_y):
-            index.append(i)
-        else:
-            zero = np.zeros(sys.n_cells, dtype=np.complex128)
-            results[i] = _result(sys, zero, 0, None, True)
-    if not index:
-        return results
+    batch = _Batch(systems, "least-squares")
+    live, mask = batch.screen(np.any(s.adjoint_y) for s in systems)
+    if live:
+        radar = live[0].radar
+        b = np.stack([s.adjoint_y for s in live])
+        mu = np.array([_ridge(s, opts) for s in live])[:, None]
+        # ||Phi||^2 as operator_norm_sq gives it, read off the radar: bench/
+        # counts the operator_norm_sq calls of a trial
+        norm_sq = radar.norm_sq
+        tol = np.maximum(CG_TOL, LS_ERROR_TOL * mu[:, 0] / (norm_sq + mu[:, 0]))
+        tol_sq = tol**2 * _row_sq(b)
 
-    k = len(index)
-    b = np.stack([systems[i].adjoint_y for i in index])
-    mask = mask[index]
-    mu = np.array([_ridge(systems[i], opts) for i in index])[:, None]
-    # ||Phi||^2 as operator_norm_sq gives it, read off the radar: bench/
-    # counts the operator_norm_sq calls of a trial
-    norm_sq = radar.norm_sq
-    tol = np.maximum(CG_TOL, LS_ERROR_TOL * mu[:, 0] / (norm_sq + mu[:, 0]))
-    tol_sq = tol**2 * _row_sq(b)
+        def normal(p, mask, mu):
+            """(Phi^H Phi + mu I) p, row by row."""
+            grid = radar.pulse_grid(p)
+            grid *= mask
+            ap = radar.backproject_grid(grid)
+            ap += mu * p
+            return ap
 
-    def normal(p, mask, mu):
-        """(Phi^H Phi + mu I) p, row by row."""
-        grid = radar.pulse_grid(p)
-        grid *= mask
-        ap = radar.backproject_grid(grid)
-        ap += mu * p
-        return ap
-
-    rows = np.arange(k)  # the output row of each running system
-    x_out = np.empty_like(b)
-    iterations = [opts.max_iters] * k
-    converged = [False] * k
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    r_sq = _row_sq(r)
-    for it in range(1, opts.max_iters + 1):
-        ap = normal(p, mask, mu)
-        alpha = (r_sq / np.vecdot(p, ap).real)[:, None]
-        x += alpha * p
-        r -= alpha * ap
-        r_sq_new = _row_sq(r)
-        claimed = r_sq_new <= tol_sq
-        stopped = np.zeros(len(rows), dtype=bool)
-        if claimed.any():
-            true_r = b[claimed] - normal(x[claimed], mask[claimed], mu[claimed])
-            true_sq = _row_sq(true_r)
-            met = true_sq <= tol_sq[claimed]
-            stopped[claimed] = met
-            # the others restart from the recomputed residual
-            restart = np.flatnonzero(claimed)[~met]
-            r[restart] = true_r[~met]
-            r_sq_new[restart] = true_sq[~met]
-        beta = (r_sq_new / r_sq)[:, None]
-        beta[claimed & ~stopped] = 0.0
-        p *= beta
-        p += r
-        r_sq = r_sq_new
-        if stopped.any():
-            x_out[rows[stopped]] = x[stopped]
-            for j in rows[stopped].tolist():
-                iterations[j] = it
-                converged[j] = True
-            if stopped.all():
-                break
-            running = ~stopped
-            rows, x, r, p, r_sq, b, mask, mu, tol_sq = (
-                a[running] for a in (rows, x, r, p, r_sq, b, mask, mu, tol_sq)
-            )
-    else:
-        x_out[rows] = x
-    for j, i in enumerate(index):
-        results[i] = _result(systems[i], x_out[j], iterations[j], None, converged[j])
-    return results
+        x = np.zeros_like(b)
+        r = b.copy()
+        p = r.copy()
+        r_sq = _row_sq(r)
+        for it in range(1, opts.max_iters + 1):
+            ap = normal(p, mask, mu)
+            alpha = (r_sq / np.vecdot(p, ap).real)[:, None]
+            x += alpha * p
+            r -= alpha * ap
+            r_sq_new = _row_sq(r)
+            claimed = r_sq_new <= tol_sq
+            stopped = np.zeros(len(x), dtype=bool)
+            if claimed.any():
+                true_r = b[claimed] - normal(x[claimed], mask[claimed], mu[claimed])
+                true_sq = _row_sq(true_r)
+                met = true_sq <= tol_sq[claimed]
+                stopped[claimed] = met
+                # the others restart from the recomputed residual
+                restart = np.flatnonzero(claimed)[~met]
+                r[restart] = true_r[~met]
+                r_sq_new[restart] = true_sq[~met]
+            beta = (r_sq_new / r_sq)[:, None]
+            beta[claimed & ~stopped] = 0.0
+            p *= beta
+            p += r
+            r_sq = r_sq_new
+            if stopped.any():
+                x, r, p, r_sq, b, mask, mu, tol_sq = batch.stop(
+                    stopped, it, True, x, r, p, r_sq, b, mask, mu, tol_sq
+                )
+                if not len(x):
+                    break
+        batch.stop(np.ones(len(x), dtype=bool), opts.max_iters, False, x)
+    return [_result(s, h, n, None, met) for s, (h, n, met) in zip(systems, batch.results())]
 
 
 def stretch_bin_columns(cfg: RadarConfig) -> list:

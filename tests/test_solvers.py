@@ -468,18 +468,6 @@ def test_sparse_does_not_copy_the_operator(cfg32, ideal_shape):
     assert peak < sys_.phi.nbytes / 4
 
 
-def test_sparse_batch_of_no_systems():
-    assert solve_sparse_l1_batch([]) == []
-
-
-def test_sparse_batch_needs_one_radar(cfg32, ideal_shape):
-    rng = np.random.default_rng(47)
-    _, _, radar_sys = radar_system(cfg32, ideal_shape, 8, rng, 24)
-    _, other = random_system(6, 9, 5, 5, rng)
-    with pytest.raises(ValueError, match="one radar"):
-        solve_sparse_l1_batch([radar_sys, other])
-
-
 def test_solvers_never_build_the_dense_operator(cfg32, ideal_shape):
     rng = np.random.default_rng(46)
     _, _, sys_ = radar_system(cfg32, ideal_shape, 8, rng, 24)
@@ -573,29 +561,48 @@ def test_ls_floor_ridge_still_stops_on_cg_tol(monkeypatch):
         assert got.h_est.tobytes() == want.h_est.tobytes()
 
 
-def test_ls_batch_results_do_not_depend_on_the_batch():
-    # noiseless and 15 dB systems stop at different iterations, one hits the
-    # cap, and a zero observation takes the zero-profile exit
-    systems = readme_gate_systems(None) + readme_gate_systems(15.0)
-    systems.insert(3, with_y(systems[0], np.zeros_like(systems[0].y)))
-    for opts in (SolverOptions(), SolverOptions(max_iters=60)):
-        batch = solve_least_squares_batch(systems, opts)
-        alone = [solve_least_squares(s, opts) for s in systems]
-        assert len({r.iterations for r in batch}) > 3
-        for got, want in zip(batch, alone):
-            assert np.array_equal(got.h_est, want.h_est)
-            assert (got.iterations, got.converged) == (want.iterations, want.converged)
-    assert batch[3].iterations == 0 and not np.any(batch[3].h_est)
-    assert not all(r.converged for r in batch)
+# -- the batch contract of both iterative routes -------------------------------
+
+# each batch route with its one-system form and a max_iters cap that some of
+# the README-gate systems below hit
+BATCH_ROUTES = {
+    "sparse": (solve_sparse_l1_batch, solve_sparse_l1, 40),
+    "least_squares": (solve_least_squares_batch, solve_least_squares, 60),
+}
+batch_routes = pytest.mark.parametrize("route", BATCH_ROUTES)
 
 
-def test_ls_batch_of_no_systems_and_of_two_radars(cfg32, ideal_shape):
-    assert solve_least_squares_batch([]) == []
+@batch_routes
+def test_batch_of_no_systems(route):
+    assert BATCH_ROUTES[route][0]([]) == []
+
+
+@batch_routes
+def test_batch_needs_one_radar(route, cfg32, ideal_shape):
     rng = np.random.default_rng(47)
     _, _, radar_sys = radar_system(cfg32, ideal_shape, 8, rng, 24)
     _, other = random_system(6, 9, 5, 5, rng)
     with pytest.raises(ValueError, match="one radar"):
-        solve_least_squares_batch([radar_sys, other])
+        BATCH_ROUTES[route][0]([radar_sys, other])
+
+
+@batch_routes
+def test_batch_results_do_not_depend_on_the_batch(route):
+    # noiseless and 15 dB systems stop at different iterations, some hit the
+    # cap, and a zero observation takes the zero-profile exit
+    batch_solve, solve, cap = BATCH_ROUTES[route]
+    systems = readme_gate_systems(None) + readme_gate_systems(15.0)
+    systems.insert(3, with_y(systems[0], np.zeros_like(systems[0].y)))
+    for opts in (SolverOptions(), SolverOptions(max_iters=cap)):
+        batch = batch_solve(systems, opts)
+        alone = [solve(s, opts) for s in systems]
+        assert len({r.iterations for r in batch}) > 3
+        for got, want in zip(batch, alone):
+            assert got.h_est.tobytes() == want.h_est.tobytes()
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert batch[3].iterations == 0 and not np.any(batch[3].h_est)
+    assert any(r.iterations == cap for r in batch)
+    assert not all(r.converged for r in batch)
 
 
 # solves README-gate and N=64, L=16 systems and prints a digest of each estimate
