@@ -64,17 +64,17 @@ def cmd_sweep(spec: ExperimentSpec, args) -> int:
     dest = os.path.join(out, "trials.csv")
     write_trials_csv(records, dest)
     print(f"sweep: {len(records)} records -> {dest}")
-    for missing in spec.sweep:
-        for method in spec.solvers:
-            vals = [
-                r.similarity
-                for r in records
-                if r.missing_count == missing and r.method == method
-            ]
-            print(
-                f"  missing={missing:3d} {method:>13s}: "
-                f"mean similarity {np.mean(vals):.4f} over {len(vals)} trials"
-            )
+    # records are sorted by missing count and SNR: one group per printed line
+    groups = {}
+    for r in records:
+        key = (r.missing_count, r.snr_db, r.method)
+        groups.setdefault(key, []).append(r.similarity)
+    for (missing, snr, method), vals in groups.items():
+        snr = "none" if snr is None else f"{snr:g}"
+        print(
+            f"  missing={missing:3d} snr_db={snr} {method:>13s}: "
+            f"mean similarity {np.mean(vals):.4f} over {len(vals)} trials"
+        )
     return 0
 
 
@@ -113,9 +113,10 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if seed:  # recover draws nothing
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (default: .)")
 
     p = sub.add_parser("simulate", help="one trial, dump truth and estimate profiles")
@@ -132,7 +133,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="reconstruct a profile from a TRM file")
     p.add_argument("trm_file", help="recorded TRM file (SFRTRM v1)")
-    common(p)
+    common(p, seed=False)
     p.add_argument(
         "--method", action="append", choices=METHODS,
         help="solver to run (repeatable; default: first config solver)",
@@ -146,14 +147,14 @@ def main(argv=None) -> int:
     try:
         # flags are checked here, so that their errors do not name the config file
         overrides = {}
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             overrides["seed"] = check_int("seed", args.seed, 0)
         if getattr(args, "method", None):
             overrides["solvers"] = methods = tuple(args.method)
             if len(set(methods)) < len(methods):
                 raise ConfigError(f"--method must list distinct values, got {methods}")
         return args.func(load_experiment_spec(args.config, **overrides), args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

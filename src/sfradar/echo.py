@@ -8,13 +8,19 @@ bulk gate delay never enters the numerics. The echoes come from the
 radar model (_Radar) whose kernels are also the sensing operator's.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import ConfigError, PulseShape, RadarConfig, check_int, pulse_shape_eval
+from .model import (
+    ConfigError,
+    PulseShape,
+    RadarConfig,
+    check_int,
+    is_finite_real,
+    pulse_shape_eval,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +91,7 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if not math.isfinite(self.snr_db):
+        if not is_finite_real(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         check_int("seed", self.seed, 0)
 

@@ -25,7 +25,7 @@ from .echo import (
 )
 from .io import load_profile_csv
 from .metrics import similarity
-from .model import ConfigError, PulseShape, RadarConfig, check_int
+from .model import ConfigError, PulseShape, RadarConfig, check_int, is_finite_real
 from .sensing import build_sensing_system
 from .solvers import (
     SolverOptions,
@@ -102,7 +102,7 @@ class ExperimentSpec:
                     f"sweep value {v} outside [0, {self.radar.n_pulses - 1}]"
                 )
         for v in snr:
-            if v is not None and not (isinstance(v, numbers.Real) and math.isfinite(v)):
+            if v is not None and not is_finite_real(v):
                 raise ConfigError(f"snr_db must be a finite number or None, got {v!r}")
         if isinstance(self.target, FileTarget):
             path = str(self.target.path)

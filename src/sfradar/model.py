@@ -6,6 +6,7 @@ synthetic bandwidth, and the compressed (baseband) pulse shape.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -33,6 +34,15 @@ def check_int(name: str, value, low: int) -> int:
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a finite real number (numpy's count, a bool does not)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ class RadarConfig:
         # pulse_bandwidth before delta_t, which stays None if it is not positive
         for name in ("f_c", "delta_f", "pulse_bandwidth", "delta_t", "c_light"):
             value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
+            if not (is_finite_real(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         for name, low in (("n_pulses", 2), ("l_bins", 1), ("q_start", 0)):
             check_int(name, getattr(self, name), low)
@@ -167,7 +177,7 @@ class PulseShape:
     truncation_halfwidth: float | None = None
 
     def __post_init__(self):
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
+        if not (is_finite_real(self.bandwidth) and self.bandwidth > 0):
             raise ConfigError(
                 f"bandwidth must be positive and finite, got {self.bandwidth}"
             )
@@ -181,7 +191,7 @@ class PulseShape:
                 raise ConfigError(f"ideal_sinc takes no truncation_halfwidth, got {half}")
         elif self.window not in WINDOWS:
             raise ConfigError(f"unknown window {self.window!r}")
-        elif half is None or not (half > 0 and math.isfinite(half)):
+        elif not (is_finite_real(half) and half > 0):
             raise ConfigError(
                 f"truncation_halfwidth must be positive and finite, got {half}"
             )

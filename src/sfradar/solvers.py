@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .echo import PulseSchedule, Trm
-from .model import ConfigError, PulseShape, RadarConfig, check_int
+from .model import ConfigError, PulseShape, RadarConfig, check_int, is_finite_real
 from .sensing import SensingSystem, build_sensing_system
 
 TINY = np.finfo(float).tiny
@@ -98,11 +98,11 @@ class SolverOptions:
     ls_ridge: float | None = None
 
     def __post_init__(self):
+        check_int("max_iters", self.max_iters, 1)
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and not math.isfinite(v):
+            if v is not None and not is_finite_real(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
-        check_int("max_iters", self.max_iters, 1)
         for name in ("rel_change_tol", "epsilon_factor"):
             v = getattr(self, name)
             if not v > 0:

@@ -102,7 +102,10 @@ def test_simulate_is_trial_zero_of_the_sweep(tmp_path, capsys):
         assert similarity(truth, estimate).similarity == pytest.approx(
             rec.similarity, abs=1e-6
         )
-        assert f"{rec.method}: similarity={rec.similarity:.4f}" in printed
+        (line,) = [ln for ln in printed.splitlines() if f" {rec.method}: " in ln]
+        assert f"{rec.method}: similarity={rec.similarity:.4f}" in line
+        # at 15 dB both iterative routes meet their stop
+        assert rec.method == "stretch_idft" or "converged=True" in line
 
 
 def test_sweep_writes_deterministic_csv(tmp_path, config_path, capsys):
@@ -115,6 +118,27 @@ def test_sweep_writes_deterministic_csv(tmp_path, config_path, capsys):
     assert rows_a == rows_b
     assert len(rows_a) == 1 + 2 * 2 * 2  # header + sweep x trials x methods
     assert "mean similarity" in capsys.readouterr().out
+
+
+def test_sweep_prints_one_mean_per_missing_count_snr_and_method(tmp_path, capsys):
+    config = CONFIG.replace("snr_db = 15", "snr_db = 0, 30").replace(
+        "trials_per_point = 2", "trials_per_point = 3"
+    ).replace("solvers = sparse_l1, least_squares", "solvers = least_squares")
+    path = tmp_path / "two_snr.cfg"
+    path.write_text(config)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[1:]
+    records = run_experiment(load_experiment_spec(path))
+    want = []
+    for missing in (0, 5):
+        for snr in (0, 30):
+            vals = [r.similarity for r in records
+                    if (r.missing_count, r.snr_db) == (missing, snr)]
+            want.append(
+                f"  missing={missing:3d} snr_db={snr} {'least_squares':>13s}: "
+                f"mean similarity {np.mean(vals):.4f} over 3 trials"
+            )
+    assert printed == want
 
 
 def test_sweep_seed_override_changes_rows(tmp_path, config_path):
@@ -182,7 +206,7 @@ def test_recover_from_trm_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("missing", [0, 5])
-def test_recover_runs_the_path_simulate_runs(tmp_path, missing):
+def test_recover_runs_the_path_simulate_runs(tmp_path, capsys, missing):
     # every method recovers simulate's trial from its capture file to the
     # same bytes that simulate exports: one solve path for both commands
     config = CONFIG.replace("sweep = 0, 5", f"sweep = {missing}, 1").replace(
@@ -205,9 +229,13 @@ def test_recover_runs_the_path_simulate_runs(tmp_path, missing):
         out = tmp_path / method
         argv = ["recover", str(capture), "--config", str(rec_path), "--out", str(out),
                 "--method", method]
+        capsys.readouterr()
         assert main(argv) == 0
         recovered = (out / f"recovered_{method}.csv").read_bytes()
         assert recovered == (tmp_path / "sim" / f"profile_{method}.csv").read_bytes()
+        # the capture carries its noise level: both iterative routes meet
+        # the stop it sets
+        assert method == "stretch_idft" or "converged=True" in capsys.readouterr().out
 
 
 DEFAULT_GATE = CONFIG.replace("n_pulses = 16", "n_pulses = 32").replace(
@@ -262,6 +290,11 @@ def test_recover_without_a_noise_level_needs_epsilon(tmp_path, config_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trm_path}: ") and "[solver] epsilon" in err
     assert main(argv + ["--method", "stretch_idft"]) == 0
+    # least squares solves at the ridge floor
+    capsys.readouterr()
+    assert main(argv + ["--method", "least_squares"]) == 0
+    out = capsys.readouterr().out
+    assert "least_squares: " in out and "converged=True" in out
     with_eps = tmp_path / "eps.cfg"
     with_eps.write_text(CONFIG + "\n[solver]\nepsilon = 0.01\n")
     argv[3] = str(with_eps)
@@ -269,11 +302,27 @@ def test_recover_without_a_noise_level_needs_epsilon(tmp_path, config_path, caps
 
 
 def test_recover_dimension_error_is_reported(tmp_path, config_path, capsys):
-    bad = tmp_path / "bad.trm"
-    bad.write_text("SFRTRM v1 M=3 S=18 dt=4.2e-08 order=row-major\n0,0\n")
-    rc = main(["recover", str(bad), "--config", config_path])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # and so is a negative noise level or a byte that is not ASCII (UTF-8
+    # e-acute): each exits 2 with an error that names the capture
+    cfg = load_experiment_spec(config_path).radar
+    trm = build_trm(
+        draw_synthetic_target(cfg, 4, seed=21), PulseSchedule.full(16),
+        PulseShape.ideal_sinc(24e6),
+    )
+    good = tmp_path / "good.trm"
+    write_trm_file(trm, good)
+    text = good.read_bytes()
+    for name, data in [
+        ("dimension", b"SFRTRM v1 M=3 S=18 dt=4.2e-08 order=row-major\n0,0\n"),
+        ("negative_sigma", text.replace(b" sigma=0\n", b" sigma=-1\n", 1)),
+        ("non_ascii", text.replace(b"\n", b"\n\xc3\xa9", 1)),
+    ]:
+        bad = tmp_path / f"{name}.trm"
+        bad.write_bytes(data)
+        rc = main(["recover", str(bad), "--config", config_path,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2, name
+        assert capsys.readouterr().err.startswith(f"error: {bad}:"), name
 
 
 @pytest.mark.parametrize("verb", ["simulate", "sweep"])
@@ -327,6 +376,15 @@ def test_sweep_rejects_an_all_zero_target_file(tmp_path, capsys):
     assert err.startswith(f"error: {config}: target file {truth}: ")
     assert "identically zero" in err
     assert not out.exists()
+
+
+def test_recover_takes_no_seed(tmp_path, config_path, capsys):
+    # recover draws nothing: a seed would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", str(tmp_path / "capture.trm"), "--config", config_path,
+              "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_negative_seed_override_is_a_config_error(tmp_path, config_path, capsys):

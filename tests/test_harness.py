@@ -339,6 +339,32 @@ def test_integer_fields_take_numpy_integers(small_cfg):
     echo.PulseSchedule(np.arange(4), np.int64(4))
 
 
+REAL_RADAR_FIELDS = ("f_c", "delta_f", "pulse_bandwidth", "delta_t", "c_light")
+REAL_SOLVER_FIELDS = ("rel_change_tol", "epsilon", "epsilon_factor", "ls_ridge")
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        *[(name, lambda cfg, name=name: replace(cfg, **{name: True}))
+          for name in REAL_RADAR_FIELDS],
+        ("bandwidth", lambda cfg: PulseShape(bandwidth=True)),
+        ("truncation_halfwidth",
+         lambda cfg: PulseShape(24e6, "windowed_sinc", "hann", True)),
+        ("snr_db", lambda cfg: echo.NoiseModel(snr_db=True, seed=1)),
+        *[(name, lambda cfg, name=name: SolverOptions(**{name: True}))
+          for name in REAL_SOLVER_FIELDS],
+        ("snr_db", lambda cfg: ExperimentSpec(radar=cfg, snr_db=True)),
+    ],
+    ids=[*REAL_RADAR_FIELDS, "bandwidth", "truncation_halfwidth", "noise-snr",
+         *REAL_SOLVER_FIELDS, "spec-snr"],
+)
+def test_real_fields_refuse_a_bool(small_cfg, field, build):
+    # a bool is a number to Python: snr_db=True would sweep at 1 dB
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        build(small_cfg)
+
+
 def test_spec_rejects_more_scatterers_than_cells(small_cfg):
     # rejected when the spec is built, not by the first trial's draw
     with pytest.raises(ConfigError, match="scatterers"):
@@ -593,12 +619,14 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
     ("max_iters = 4000", "max_iters = 4000\naccelerate = true",
      "unknown key 'accelerate' in [solver]"),
     ("max_iters = 4000", "max_iters = 4000\nls_ridge = inf", "ls_ridge must be finite"),
+    ("l_bins = 12", "l_bins = 12\nc_light = inf", "c_light must be positive and finite"),
     ("kind = synthetic", "kind = bogus", "unknown [target] kind 'bogus'"),
     ("[target]", "[pulse_shape]\nkind = bogus\n\n[target]",
      "unknown [pulse_shape] kind 'bogus'"),
 ], ids=["radar_value", "radar_check", "list_value", "experiment_value",
         "solver_check", "solver_value", "negative_seed", "shape_too_large",
-        "accelerate", "solver_not_finite", "target_kind", "pulse_shape_kind"])
+        "accelerate", "solver_not_finite", "radar_not_finite", "target_kind",
+        "pulse_shape_kind"])
 def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names):
     path = tmp_path / "exp.cfg"
     path.write_text(GOOD_CONFIG.replace(old, new))
