@@ -99,6 +99,14 @@ class NoiseModel:
         return float(np.sqrt(signal_power * 10.0 ** (-self.snr_db / 10.0)))
 
 
+def check_noise_sigma(name: str, value, error=ConfigError):
+    """value, rejected with error unless it is None (an unknown noise level)
+    or a finite real number >= 0."""
+    if value is not None and not (is_finite_real(value) and value >= 0):
+        raise error(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Trm:
     """Target response matrix: m_count rows by n_samples columns.
@@ -106,7 +114,8 @@ class Trm:
     row_pulse_indices carries the schedule index of each row; column s
     is sampled at s * delta_t after the start of the gate.
     noise_sigma is the per-sample noise std actually injected (0 when
-    noiseless), or None when it is unknown: a capture file without one.
+    noiseless), finite and >= 0, or None when it is unknown: a capture
+    file without one.
     """
 
     data: np.ndarray
@@ -115,6 +124,7 @@ class Trm:
     noise_sigma: float | None = 0.0
 
     def __post_init__(self):
+        check_noise_sigma("noise_sigma", self.noise_sigma)
         data = np.asarray(self.data, dtype=np.complex128)
         object.__setattr__(self, "data", data)
         if data.ndim != 2 or data.shape[0] != len(self.row_pulse_indices):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .echo import PulseSchedule, Trm
+from .echo import PulseSchedule, Trm, check_noise_sigma
 from .model import RadarConfig
 
 TRM_MAGIC = "SFRTRM"
@@ -75,9 +75,7 @@ def _parse_header(line: str) -> dict:
         raise TrmHeaderError(f"unsupported sample order {out['order']!r}")
     if out["M"] < 1 or out["S"] < 1:
         raise TrmHeaderError(f"header dimensions must be positive, got {line!r}")
-    sigma = out["sigma"]
-    if sigma is not None and not (sigma >= 0 and math.isfinite(sigma)):
-        raise TrmHeaderError(f"header sigma must be finite and >= 0, got {sigma!r}")
+    check_noise_sigma("header sigma", out["sigma"], TrmHeaderError)
     return out
 
 

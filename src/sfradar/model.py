@@ -83,11 +83,12 @@ class RadarConfig:
     c_light: float = C_LIGHT
 
     def __post_init__(self):
-        if self.delta_t is None and self.pulse_bandwidth > 0:
-            object.__setattr__(self, "delta_t", 1.0 / self.pulse_bandwidth)
-        # pulse_bandwidth before delta_t, which stays None if it is not positive
+        # pulse_bandwidth is checked before delta_t defaults to its inverse
         for name in ("f_c", "delta_f", "pulse_bandwidth", "delta_t", "c_light"):
             value = getattr(self, name)
+            if name == "delta_t" and value is None:
+                value = 1.0 / self.pulse_bandwidth
+                object.__setattr__(self, name, value)
             if not (is_finite_real(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         for name, low in (("n_pulses", 2), ("l_bins", 1), ("q_start", 0)):

@@ -301,6 +301,25 @@ def test_recover_without_a_noise_level_needs_epsilon(tmp_path, config_path, caps
     assert main(argv + ["--method", "sparse_l1"]) == 0
 
 
+def test_recover_at_a_noise_level_whose_square_overflows(tmp_path, config_path, capsys):
+    # sigma=1e160 is finite, but its square is not: the least-squares ridge
+    # is held at its ceiling, so every method exits 0 with no overflow and
+    # no RuntimeWarning (an error under this suite's warning filter)
+    cfg = load_experiment_spec(config_path).radar
+    trm = build_trm(
+        draw_synthetic_target(cfg, 4, seed=21), PulseSchedule.full(16),
+        PulseShape.ideal_sinc(24e6),
+    )
+    capture = tmp_path / "loud.trm"
+    write_trm_file(trm, capture)
+    capture.write_text(capture.read_text().replace(" sigma=0\n", " sigma=1e160\n", 1))
+    argv = ["recover", str(capture), "--config", config_path, "--out", str(tmp_path)]
+    for method in METHODS:
+        assert main(argv + ["--method", method]) == 0
+        assert f"{method}: " in capsys.readouterr().out
+        assert np.all(np.isfinite(load_profile_csv(tmp_path / f"recovered_{method}.csv")))
+
+
 def test_recover_dimension_error_is_reported(tmp_path, config_path, capsys):
     # and so is a negative noise level or a byte that is not ASCII (UTF-8
     # e-acute): each exits 2 with an error that names the capture

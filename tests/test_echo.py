@@ -31,6 +31,15 @@ def naive_echo(values, cfg, shape_bandwidth, pulse_index, tau):
     return total
 
 
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+def test_trm_rejects_a_bad_noise_level(cfg32, sigma):
+    # the rule of a capture's sigma= header, for every TRM: a negative or
+    # non-finite noise level gave the sparse route a budget it never met
+    data = np.zeros((cfg32.n_pulses, cfg32.n_samples), dtype=complex)
+    with pytest.raises(ConfigError, match="^noise_sigma must be finite and >= 0"):
+        Trm(data, tuple(range(cfg32.n_pulses)), cfg32.delta_t, noise_sigma=sigma)
+
+
 def test_profile_length_enforced(cfg32):
     with pytest.raises(ConfigError):
         RangeProfile(np.zeros(cfg32.n_cells - 1, dtype=complex), cfg32)

@@ -340,7 +340,7 @@ def test_integer_fields_take_numpy_integers(small_cfg):
 
 
 REAL_RADAR_FIELDS = ("f_c", "delta_f", "pulse_bandwidth", "delta_t", "c_light")
-REAL_SOLVER_FIELDS = ("rel_change_tol", "epsilon", "epsilon_factor", "ls_ridge")
+REAL_SOLVER_FIELDS = ("epsilon", "ls_ridge")
 
 
 @pytest.mark.parametrize(
@@ -436,7 +436,6 @@ solvers = sparse_l1, least_squares
 
 [solver]
 max_iters = 4000
-epsilon_factor = 1.5
 """
 
 
@@ -466,14 +465,13 @@ def test_load_experiment_spec_unknown_key(tmp_path):
     assert "sede" in str(err.value)
 
 
-SOLVER_SECTION = "[solver]\nmax_iters = 4000\nepsilon_factor = 1.5\n"
+SOLVER_SECTION = "[solver]\nmax_iters = 4000\n"
 # the [radar] keys of GOOD_CONFIG
 GOOD_RADAR = dict(f_c=5.0e9, delta_f=16e6, n_pulses=32, pulse_bandwidth=24e6, l_bins=12)
 # a value other than the default, and other than GOOD_CONFIG's, for every
 # SolverOptions and RadarConfig field
 NON_DEFAULT_OPTIONS = dict(
-    max_iters=1234, rel_change_tol=2.5e-7, epsilon=0.125, epsilon_factor=1.75,
-    ls_ridge=3e-9,
+    max_iters=1234, epsilon=0.125, ls_ridge=3e-9,
     f_c=6.5e9, delta_f=8e6, n_pulses=40, pulse_bandwidth=30e6, delta_t=2.5e-8,
     q_start=3, l_bins=10, c_light=2.5e8,
 )
@@ -619,13 +617,19 @@ def test_load_experiment_spec_kind_requires_key(tmp_path, section, key):
     ("max_iters = 4000", "max_iters = 4000\naccelerate = true",
      "unknown key 'accelerate' in [solver]"),
     ("max_iters = 4000", "max_iters = 4000\nls_ridge = inf", "ls_ridge must be finite"),
+    # the sparse stop and the budget margin are constants of the solvers
+    ("max_iters = 4000", "max_iters = 4000\nrel_change_tol = 1e-4",
+     "unknown key 'rel_change_tol' in [solver]"),
+    ("max_iters = 4000", "max_iters = 4000\nepsilon_factor = 1.1",
+     "unknown key 'epsilon_factor' in [solver]"),
     ("l_bins = 12", "l_bins = 12\nc_light = inf", "c_light must be positive and finite"),
     ("kind = synthetic", "kind = bogus", "unknown [target] kind 'bogus'"),
     ("[target]", "[pulse_shape]\nkind = bogus\n\n[target]",
      "unknown [pulse_shape] kind 'bogus'"),
 ], ids=["radar_value", "radar_check", "list_value", "experiment_value",
         "solver_check", "solver_value", "negative_seed", "shape_too_large",
-        "accelerate", "solver_not_finite", "radar_not_finite", "target_kind",
+        "accelerate", "solver_not_finite", "rel_change_tol", "epsilon_factor",
+        "radar_not_finite", "target_kind",
         "pulse_shape_kind"])
 def test_load_experiment_spec_error_names_file_and_key(tmp_path, old, new, names):
     path = tmp_path / "exp.cfg"

@@ -93,6 +93,9 @@ def test_default_sampling_interval(cfg32):
         # l_bins / (delta_f * delta_t) overflows, or the product underflows
         dict(delta_f=1e-300),
         dict(delta_f=1e-300, delta_t=1e-300),
+        # checked before delta_t defaults to its inverse
+        dict(pulse_bandwidth="24e6"),
+        dict(pulse_bandwidth=None),
     ],
 )
 def test_config_invariants_rejected(kwargs):

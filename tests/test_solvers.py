@@ -419,14 +419,15 @@ def test_every_route_rejects_a_non_finite_trm(cfg32, ideal_shape):
 
 
 @pytest.mark.parametrize("seed", [40, 41, 42])
-def test_sparse_meets_the_optimality_conditions(seed):
+def test_sparse_meets_the_optimality_conditions(seed, monkeypatch):
     # KKT of min ||h||_1 s.t. ||y - Phi h|| <= eps with the budget active:
     # Phi^H r has one common modulus on the support, where its phase is
     # h's, and no larger modulus off it
     rng = np.random.default_rng(seed)
     _, sys_ = random_system(6, 16, 4, 8, rng, k=5, noise=0.05)  # 48 rows, 64 cells
     eps = 0.3 * float(np.linalg.norm(sys_.y))
-    opts = SolverOptions(epsilon=eps, rel_change_tol=1e-12, max_iters=100_000)
+    monkeypatch.setattr(solvers, "REL_CHANGE_TOL", 1e-12)
+    opts = SolverOptions(epsilon=eps, max_iters=100_000)
     rec = solve_sparse_l1(sys_, opts)
     assert rec.converged and rec.residual_l2 >= 0.99 * eps
     h = rec.h_est
@@ -559,6 +560,24 @@ def test_ls_floor_ridge_still_stops_on_cg_tol(monkeypatch):
         assert got.converged and want.converged
         assert got.iterations == want.iterations
         assert got.h_est.tobytes() == want.h_est.tobytes()
+
+
+def test_ls_restarts_from_the_recomputed_residual(monkeypatch):
+    # at CG_TOL = 1e-15 the recurrence claims the stop on some noiseless
+    # README-gate systems before the recomputed residual meets it, and a
+    # row that went on from the recurrence's residual ran out of max_iters
+    # at 12 missing: each such row restarts from the recomputed residual,
+    # and every system stops with that residual certified
+    monkeypatch.setattr(solvers, "CG_TOL", 1e-15)
+    systems = readme_gate_systems(None, missing=(0, 8, 12, 20))
+    opts = SolverOptions(max_iters=3000)
+    for sys_, rec in zip(systems, solve_least_squares_batch(systems, opts)):
+        mu = solvers._ridge(sys_, opts)
+        tol = max(solvers.CG_TOL, solvers.LS_ERROR_TOL * mu / (operator_norm_sq(sys_) + mu))
+        b = sys_.adjoint_y
+        r = b - sys_.adjoint(sys_.apply(rec.h_est)) - mu * rec.h_est
+        assert rec.converged
+        assert np.linalg.norm(r) <= tol * np.linalg.norm(b)
 
 
 # -- the batch contract of both iterative routes -------------------------------
@@ -769,17 +788,11 @@ def test_stretch_residual_recomputed(cfg32, ideal_shape):
     "kwargs",
     [
         dict(max_iters=0),
-        dict(rel_change_tol=0.0),
-        dict(rel_change_tol=-1e-4),
-        dict(epsilon_factor=0.0),
         dict(epsilon=-1.0),
         dict(ls_ridge=0.0),
-        dict(epsilon_factor=-0.5),
         dict(epsilon=float("nan")),
         dict(epsilon=float("inf")),
         dict(ls_ridge=float("inf")),
-        dict(rel_change_tol=float("inf")),
-        dict(epsilon_factor=float("inf")),
     ],
 )
 def test_solver_options_validation(kwargs):
